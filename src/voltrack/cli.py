@@ -27,6 +27,7 @@ import numpy as np
 from .errors import DataError, VoltrackError
 from .evaluation import (
     SCHEMA_VERSION,
+    TUNERS,
     bench_csv_text,
     bench_json_text,
     benchmark_report,
@@ -46,13 +47,12 @@ from .simulate import (
     parse_scenario_config,
     path_csv_text,
 )
-from .tuning import fit_garch, tune_filter0, tune_filter1, tune_filter2
 
 __all__ = ["PriceSeries", "RunConfig", "load_prices", "dispatch", "main"]
 
 DEFAULT_DELTA = 1.0 / 252.0
 
-_KINDS = ("garch11", "garch22", "filter0", "filter1", "filter2", "adaptive-k")
+_KINDS = tuple(TUNERS)
 _PRICE_HEADERS = ("price", "adjclose", "adj_close", "close")
 
 
@@ -268,16 +268,6 @@ def _load_xs(args) -> np.ndarray:
     return compute_heteroscedasticity(series.prices, series.delta)
 
 
-_TUNERS = {
-    "garch11": lambda xs, k: fit_garch(xs, 1, 1),
-    "garch22": lambda xs, k: fit_garch(xs, 2, 2),
-    "filter0": lambda xs, k: tune_filter0(xs, 0),
-    "filter1": lambda xs, k: tune_filter1(xs),
-    "filter2": lambda xs, k: tune_filter2(xs),
-    "adaptive-k": lambda xs, k: tune_filter0(xs, k),
-}
-
-
 def _params_doc(params) -> dict:
     if isinstance(params, ExtendedParams):
         return {
@@ -330,7 +320,7 @@ def _cmd_track(args) -> int:
         g_coeffs=args.g,
     )
     if config.tune:
-        params = _TUNERS[config.kind](xs, config.k).best_params
+        params = TUNERS[config.kind](xs, config.k).best_params
     else:
         params = config.explicit_params()
     result = run(xs, params)
@@ -349,7 +339,7 @@ def _cmd_tune(args) -> int:
     xs = _load_xs(args)
     if args.filter == "adaptive-k" and args.k is None:
         raise ValueError("adaptive-k requires --k")
-    report = _TUNERS[args.filter](xs, args.k)
+    report = TUNERS[args.filter](xs, args.k)
     _write(args.out, json.dumps(_tuning_doc(args.filter, report), indent=2) + "\n")
     print(f"best_sn = {float_repr(report.best_sn)}")
     return 0

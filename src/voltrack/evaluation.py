@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy import stats
@@ -27,13 +27,14 @@ from .errors import VoltrackError
 from .filters import ExtendedParams, run
 from .ioutil import float_repr
 from .simulate import Scenario, decomposition_diagnostics, generate_path
-from .tuning import fit_garch, tune_filter0, tune_filter1, tune_filter2
+from .tuning import TuningReport, fit_garch, tune_filter0, tune_filter1, tune_filter2
 
 __all__ = [
     "ConvergenceResult",
     "OrderingResult",
     "BenchReport",
     "BENCH_METHODS",
+    "TUNERS",
     "burn_in_index",
     "vn_metric",
     "convergence_experiment",
@@ -52,6 +53,18 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 BENCH_METHODS = ("garch11", "garch22", "filter0", "filter1", "filter2")
+
+# Method name -> tuner of (xs, k); only adaptive-k reads the order k.  Each
+# entry looks its tuner up in this module at call time, so wrappers set on
+# these bindings (perfbench/tracer.py) see every tuner call.
+TUNERS: dict[str, Callable[..., TuningReport]] = {
+    "garch11": lambda xs, k: fit_garch(xs, 1, 1),
+    "garch22": lambda xs, k: fit_garch(xs, 2, 2),
+    "filter0": lambda xs, k: tune_filter0(xs, 0),
+    "filter1": lambda xs, k: tune_filter1(xs),
+    "filter2": lambda xs, k: tune_filter2(xs),
+    "adaptive-k": lambda xs, k: tune_filter0(xs, k),
+}
 
 _MIN_BENCH_LENGTH = 100
 
@@ -275,13 +288,6 @@ def benchmark_report(series_set: Mapping[str, Sequence[float]]) -> BenchReport:
     """
     if not series_set:
         raise ValueError("series_set must not be empty")
-    runners = {
-        "garch11": lambda xs: fit_garch(xs, 1, 1),
-        "garch22": lambda xs: fit_garch(xs, 2, 2),
-        "filter0": lambda xs: tune_filter0(xs, 0),
-        "filter1": tune_filter1,
-        "filter2": tune_filter2,
-    }
     rows = []
     cells = []
     for name, series in series_set.items():
@@ -295,7 +301,7 @@ def benchmark_report(series_set: Mapping[str, Sequence[float]]) -> BenchReport:
         row_cells = []
         for method in BENCH_METHODS:
             try:
-                row_cells.append(float(runners[method](xs).best_sn))
+                row_cells.append(float(TUNERS[method](xs, None).best_sn))
             except (VoltrackError, ValueError):
                 row_cells.append(None)
         cells.append(tuple(row_cells))

@@ -11,8 +11,11 @@ observations strictly before i):
   one- and two-derivative level filters used in the benchmarks);
 * the classical GARCH(p, q) recursion fitted by least squares.
 
-States are immutable values; stepping returns a fresh state, so runs
-over different parameter sets can proceed in parallel.
+Each family's recursion is written once, as a private fold: run()
+folds it over the whole series and step_* over one observation, so run
+equals the composition of steps by construction.  The k=0 fold keeps a
+coefficient form with the same float operations as its GARCH(1,1) twin,
+which makes that reduction exact bit for bit.
 """
 
 from __future__ import annotations
@@ -149,6 +152,82 @@ def init_state(k: int, warmup: Sequence[float]) -> FilterState:
     return FilterState(v_hat=float(np.mean(w)), derivatives=(0.0,) * k, step_index=0)
 
 
+def _fold_adaptive(z, xs, g, a, level, n, estimates, residuals) -> list[float]:
+    """The order-k recursion, folded over xs from the state vector z.
+
+    z is [v_hat, d_1, ..., d_k]; g are the step gains, a the relaxation
+    coefficients, level the long-run level K and n the schedule length.
+    estimates[i] and residuals[i] receive the prediction of xs[i] and
+    xs[i] minus it.  Returns the state vector after the last observation.
+    """
+    k = len(z) - 1
+    if k == 0:
+        # Coefficient form of (1 - a_1/n) v + (a_1/n) K + g_0 (x - v);
+        # arranged so the GARCH(1,1) twin with K=0, g_1 = 1 - g_0, a_1 = g_0
+        # runs the same float arithmetic and matches it bit for bit.
+        coef_v = 1.0 - a[0] / n - g[0]
+        coef_k = a[0] / n
+        g0 = g[0]
+        v = z[0]
+        for i in range(len(xs)):
+            x = xs[i]
+            estimates[i] = v
+            residuals[i] = x - v
+            v = coef_v * v + coef_k * level + g0 * x
+        return [v]
+    damp = 1.0 - a[0] / n
+    a_over_n = [c / n for c in a]
+    level_term = a_over_n[k] * level
+    for i in range(len(xs)):
+        x = xs[i]
+        estimates[i] = z[0]
+        res = x - z[0]
+        residuals[i] = res
+        new = [0.0] * (k + 1)
+        new[0] = z[0] + z[1] / n + g[0] * res
+        for j in range(1, k):
+            new[j] = z[j] + z[j + 1] / n + g[j] * res
+        t = z[k] * damp
+        for ell in range(2, k + 2):
+            t = t - a_over_n[ell - 1] * z[k + 1 - ell]
+        t = t + level_term
+        t = t + g[k] * res
+        new[k] = t
+        z = new
+    return z
+
+
+def _fold_garch(
+    est_hist, obs_hist, xs, params: GarchParams, estimates, residuals
+) -> tuple[list[float], list[float]]:
+    """The GARCH(p, q) recursion, folded over xs.
+
+    est_hist holds the last p estimates and obs_hist the last q-1
+    observations, most recent last; the fold returns both windows as
+    they stand after the last observation.  estimates[i] and
+    residuals[i] receive the prediction of xs[i] and xs[i] minus it.
+    """
+    p, q = params.p, params.q
+    k_const, g, a = params.k_const, params.g_coeffs, params.a_coeffs
+    est, obs = list(est_hist), list(obs_hist)
+    for i in range(len(xs)):
+        x = xs[i]
+        prev = est[-1]
+        estimates[i] = prev
+        residuals[i] = x - prev
+        acc = k_const
+        for j in range(1, p + 1):
+            acc = acc + g[j - 1] * est[-j]
+        acc = acc + a[0] * x
+        for m in range(2, q + 1):
+            acc = acc + a[m - 1] * obs[1 - m]
+        if acc < 0.0:
+            acc = 0.0
+        est.append(acc)
+        obs.append(x)
+    return est[len(est) - p :], obs[len(obs) - (q - 1) :]
+
+
 def step_adaptive(
     state: FilterState,
     x: float,
@@ -167,30 +246,10 @@ def step_adaptive(
         raise ValueError("smoothness order mismatch between state, schedule and params")
     if not math.isfinite(x):
         raise DataError(f"non-finite observation {x!r}")
-    n = schedule.n
-    g = schedule.step_gains
-    a = ext.a_coeffs
-    v = state.v_hat
-    res = x - v
-    if k == 0:
-        # Coefficient form of (1 - a_1/n) v + (a_1/n) K + g_0 (x - v);
-        # arranged so the GARCH(1,1) twin with K=0, g_1 = 1 - g_0, a_1 = g_0
-        # runs the same float arithmetic.
-        new_v = (1.0 - a[0] / n - g[0]) * v + (a[0] / n) * ext.k_level + g[0] * x
-        return FilterState(new_v, (), state.step_index + 1), res
-    z = (v,) + state.derivatives
-    new = [0.0] * (k + 1)
-    new[0] = z[0] + z[1] / n + g[0] * res
-    for j in range(1, k):
-        new[j] = z[j] + z[j + 1] / n + g[j] * res
-    t = z[k] * (1.0 - a[0] / n)
-    for ell in range(2, k + 2):
-        t = t - (a[ell - 1] / n) * z[k + 1 - ell]
-    t = t + (a[k] / n) * ext.k_level
-    t = t + g[k] * res
-    new[k] = t
-    new_state = FilterState(new[0], tuple(new[1:]), state.step_index + 1)
-    return new_state, res
+    z, est, res = [state.v_hat, *state.derivatives], [0.0], [0.0]
+    g, n = schedule.step_gains, schedule.n
+    z = _fold_adaptive(z, (x,), g, ext.a_coeffs, ext.k_level, n, est, res)
+    return FilterState(z[0], tuple(z[1:]), state.step_index + 1), res[0]
 
 
 def step_garch(
@@ -203,7 +262,8 @@ def step_garch(
     history is a pair (estimates, observations), most recent last, with
     at least p prior estimates and q-1 prior observations.  The new
     estimate is K + sum_j g_j v[i-j] + a_1 x + sum_{m>=2} a_m X[i+1-m],
-    floored at zero; the residual compares x with the latest estimate.
+    summed in that order and floored at zero; the residual compares x
+    with the latest estimate.
     """
     est_hist, obs_hist = history
     p, q = params.p, params.q
@@ -215,15 +275,11 @@ def step_garch(
         )
     if not math.isfinite(x):
         raise DataError(f"non-finite observation {x!r}")
-    acc = params.k_const
-    for j in range(1, p + 1):
-        acc = acc + params.g_coeffs[j - 1] * est_hist[-j]
-    acc = acc + params.a_coeffs[0] * x
-    for m in range(2, q + 1):
-        acc = acc + params.a_coeffs[m - 1] * obs_hist[-(m - 1)]
-    if acc < 0.0:
-        acc = 0.0
-    return acc, x - est_hist[-1]
+    est_hist = est_hist[len(est_hist) - p :]
+    obs_hist = obs_hist[len(obs_hist) - (q - 1) :]
+    est, res = [0.0], [0.0]
+    new_est, _ = _fold_garch(est_hist, obs_hist, (x,), params, est, res)
+    return new_est[-1], res[0]
 
 
 def _warmup_count(n: int) -> int:
@@ -231,7 +287,7 @@ def _warmup_count(n: int) -> int:
 
 
 def run(xs: Sequence[float], params: ExtendedParams | GarchParams) -> TrackResult:
-    """Fold the matching step over a full observation series.
+    """Fold the matching recursion over a full observation series.
 
     estimates[i] is the one-step prediction of xs[i]; residuals[i] is
     xs[i] - estimates[i]; s_n is the mean squared residual.
@@ -242,80 +298,27 @@ def run(xs: Sequence[float], params: ExtendedParams | GarchParams) -> TrackResul
     bad = np.flatnonzero(~np.isfinite(x_arr))
     if bad.size:
         raise DataError(f"non-finite observation at index {int(bad[0])}")
+    n = int(x_arr.size)
+    obs = x_arr.tolist()
+    estimates = np.empty(n)
+    residuals = np.empty(n)
     if isinstance(params, GarchParams):
-        return _run_garch(x_arr, params)
-    if isinstance(params, ExtendedParams):
-        return _run_adaptive(x_arr, params)
-    raise ValueError(f"unsupported parameter type {type(params).__name__}")
-
-
-def _run_adaptive(x_arr: np.ndarray, params: ExtendedParams) -> TrackResult:
-    n = int(x_arr.size)
-    k = params.k
-    if max(params.a_coeffs) >= n / 10:
-        raise ValueError("a_coeffs must stay well below n (max coefficient < n/10)")
-    if abs(params.k_level) >= n:
-        raise ValueError("k_level magnitude must stay below n")
-    sched = gain_schedule(k, params.theta, n)
-    state = init_state(k, x_arr[: _warmup_count(n)])
-    xs = x_arr.tolist()
-    g = [float(t) for t in sched.step_gains]
-    a = params.a_coeffs
-    estimates = np.empty(n)
-    residuals = np.empty(n)
-    if k == 0:
-        coef_v = 1.0 - a[0] / n - g[0]
-        coef_k = a[0] / n
-        level = params.k_level
-        g0 = g[0]
-        v = state.v_hat
-        for i in range(n):
-            x = xs[i]
-            estimates[i] = v
-            residuals[i] = x - v
-            v = coef_v * v + coef_k * level + g0 * x
+        # The first observation seeds the recursion; missing pre-sample
+        # estimates and observations are padded with it.
+        v0 = obs[0]
+        _fold_garch(
+            [v0] * params.p, [v0] * (params.q - 1), obs, params, estimates, residuals
+        )
+    elif isinstance(params, ExtendedParams):
+        if max(params.a_coeffs) >= n / 10:
+            raise ValueError("a_coeffs must stay well below n (max coefficient < n/10)")
+        if abs(params.k_level) >= n:
+            raise ValueError("k_level magnitude must stay below n")
+        g = [float(t) for t in gain_schedule(params.k, params.theta, n).step_gains]
+        state = init_state(params.k, x_arr[: _warmup_count(n)])
+        z, a = [state.v_hat, *state.derivatives], params.a_coeffs
+        _fold_adaptive(z, obs, g, a, params.k_level, n, estimates, residuals)
     else:
-        z = [state.v_hat] + [0.0] * k
-        damp = 1.0 - a[0] / n
-        a_over_n = [c / n for c in a]
-        level_term = a_over_n[k] * params.k_level
-        for i in range(n):
-            x = xs[i]
-            estimates[i] = z[0]
-            res = x - z[0]
-            residuals[i] = res
-            new = [0.0] * (k + 1)
-            new[0] = z[0] + z[1] / n + g[0] * res
-            for j in range(1, k):
-                new[j] = z[j] + z[j + 1] / n + g[j] * res
-            t = z[k] * damp
-            for ell in range(2, k + 2):
-                t = t - a_over_n[ell - 1] * z[k + 1 - ell]
-            t = t + level_term
-            t = t + g[k] * res
-            new[k] = t
-            z = new
-    s_n = float(np.mean(np.square(residuals)))
-    return TrackResult(estimates=estimates, residuals=residuals, s_n=s_n)
-
-
-def _run_garch(x_arr: np.ndarray, params: GarchParams) -> TrackResult:
-    n = int(x_arr.size)
-    xs = x_arr.tolist()
-    # The first observation seeds the recursion; missing pre-sample
-    # estimates and observations are padded with it.
-    v0 = xs[0]
-    est_hist = [v0] * params.p
-    obs_hist = [v0] * (params.q - 1)
-    estimates = np.empty(n)
-    residuals = np.empty(n)
-    for i in range(n):
-        x = xs[i]
-        estimates[i] = est_hist[-1]
-        new_v, res = step_garch((est_hist, obs_hist), x, params)
-        residuals[i] = res
-        est_hist.append(new_v)
-        if params.q > 1:
-            obs_hist.append(x)
+        raise ValueError(f"unsupported parameter type {type(params).__name__}")
     s_n = float(np.mean(np.square(residuals)))
     return TrackResult(estimates=estimates, residuals=residuals, s_n=s_n)

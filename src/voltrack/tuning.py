@@ -25,7 +25,6 @@ from scipy import optimize
 
 from .errors import TuningError
 from .filters import ExtendedParams, GarchParams, run
-from .gains import stability_report
 
 __all__ = [
     "TuningStage",
@@ -140,13 +139,6 @@ def _series(xs: Sequence[float]) -> np.ndarray:
     return arr
 
 
-def _check_stable(k: int, theta: float) -> None:
-    # Cannot fail for the certified orders; kept as a hard guard.
-    rep = stability_report(k, theta)
-    if not (rep.all_negative_real and rep.all_distinct):
-        raise TuningError(f"gain polynomial unstable at theta={theta!r}")
-
-
 def _make_sn(x_arr: np.ndarray, evaluations: list) -> Callable:
     def sn_of(params) -> float:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -168,7 +160,6 @@ def _theta_stage(
     sn_of: Callable,
 ) -> tuple[float, float]:
     def objective(theta: float) -> float:
-        _check_stable(k, theta)
         return sn_of(
             ExtendedParams(k=k, theta=theta, a_coeffs=a_coeffs, k_level=k_level)
         )

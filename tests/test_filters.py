@@ -2,13 +2,16 @@
 
 Oracles: hand-computed single-step arithmetic, independent re-rolled
 recursions compared bit for bit, exact fixed points on constant input,
-and externally recomputed mean squared residuals.
+externally recomputed mean squared residuals, and run-versus-step
+properties over randomly drawn parameters.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from voltrack import (
@@ -417,3 +420,81 @@ class TestGarchTwin:
             assert st.v_hat == est_g
             assert res_a == res_g
             v = st.v_hat
+
+
+_PROPERTY_SETTINGS = settings(
+    derandomize=True, max_examples=30, deadline=None, database=None
+)
+
+
+@st.composite
+def extended_cases(draw):
+    """A series and order-k parameters inside run()'s operating range."""
+    k = draw(st.integers(0, 8))
+    n = draw(st.integers(120, 300))
+    theta = draw(st.floats(1e-2, 10.0))
+    if draw(st.booleans()):
+        a_coeffs, k_level = (0.0,) * (k + 1), 0.0
+    else:
+        # Coefficients of prod (x + r_i) with r_i > 0 are Hurwitz, and with
+        # r_i <= 0.5 the largest stays below n/10 for n >= 120.
+        roots = draw(st.lists(st.floats(0.05, 0.5), min_size=k + 1, max_size=k + 1))
+        a_coeffs = tuple(float(c) for c in np.poly([-r for r in roots])[1:])
+        k_level = draw(st.floats(0.0, 0.2))
+    ext = ExtendedParams(k=k, theta=theta, a_coeffs=a_coeffs, k_level=k_level)
+    return noisy_series(n, seed=draw(st.integers(0, 2**32 - 1))), ext
+
+
+@st.composite
+def garch_cases(draw):
+    """A series and GARCH(p, q) coefficients, non-negative with sum <= 1."""
+    p, q = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=p + q, max_size=p + q))
+    total = draw(st.floats(0.0, 1.0))
+    scale = total / sum(weights) if sum(weights) > 0.0 else 0.0
+    coeffs = [w * scale for w in weights]
+    par = GarchParams(
+        p=p,
+        q=q,
+        k_const=draw(st.floats(0.0, 0.01)),
+        g_coeffs=tuple(coeffs[:p]),
+        a_coeffs=tuple(coeffs[p:]),
+    )
+    n = draw(st.integers(2, 300))
+    return noisy_series(n, seed=draw(st.integers(0, 2**32 - 1))), par
+
+
+class TestRunStepProperties:
+    @_PROPERTY_SETTINGS
+    @given(extended_cases())
+    def test_run_equals_step_adaptive_composition(self, case):
+        xs, ext = case
+        n = xs.size
+        result = run(xs, ext)
+        sch = gain_schedule(ext.k, ext.theta, n)
+        state = init_state(ext.k, xs[: _warmup_count(n)])
+        est = np.empty(n)
+        res = np.empty(n)
+        for i, x in enumerate(xs):
+            est[i] = state.v_hat
+            state, res[i] = step_adaptive(state, float(x), sch, ext)
+        assert np.all(np.isfinite(result.estimates))
+        assert np.array_equal(est, result.estimates)
+        assert np.array_equal(res, result.residuals)
+
+    @_PROPERTY_SETTINGS
+    @given(garch_cases())
+    def test_run_equals_step_garch_composition(self, case):
+        xs, par = case
+        result = run(xs, par)
+        v0 = float(xs[0])
+        est_hist, obs_hist = [v0] * par.p, [v0] * (par.q - 1)
+        est = np.empty(xs.size)
+        res = np.empty(xs.size)
+        for i, x in enumerate(xs.tolist()):
+            est[i] = est_hist[-1]
+            new_v, res[i] = step_garch((est_hist, obs_hist), x, par)
+            est_hist.append(new_v)
+            obs_hist.append(x)
+        assert np.array_equal(est, result.estimates)
+        assert np.array_equal(res, result.residuals)

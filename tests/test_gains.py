@@ -191,8 +191,9 @@ class TestStabilityReport:
         assert_allclose(rep.roots, expected[order], rtol=0.0, atol=1e-12)
 
     def test_stable_and_distinct_across_orders_and_thetas(self):
-        for k in range(5):
-            for theta in (0.01, 0.1, 1.0, 10.0, 100.0):
+        # Every certified order, over the tuners' whole theta range.
+        for k in range(MAX_ORDER + 1):
+            for theta in (0.01, 0.1, 1.0, 10.0, 100.0, 1000.0):
                 rep = stability_report(k, theta)
                 assert rep.all_negative_real, (k, theta)
                 assert rep.all_distinct, (k, theta)
