@@ -18,7 +18,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DataError, VoltrackError
 from .evaluation import (
     SCHEMA_VERSION,
-    TUNERS,
+    METHODS,
     bench_csv_text,
     bench_json_text,
     benchmark_report,
@@ -52,7 +52,8 @@ __all__ = ["PriceSeries", "RunConfig", "load_prices", "dispatch", "main"]
 
 DEFAULT_DELTA = 1.0 / 252.0
 
-_KINDS = tuple(TUNERS)
+# Explicit track flag -> the RunConfig field that holds its value.
+_FLAG_FIELDS = {"theta": "theta", "a": "a_coeffs", "level": "level", "g": "g_coeffs"}
 _PRICE_HEADERS = ("price", "adjclose", "adj_close", "close")
 
 
@@ -81,7 +82,7 @@ class RunConfig:
     """Filter selection for the track command.
 
     Exactly one of tune / explicit parameters must be given; which
-    explicit parameters are required depends on the kind.
+    explicit parameters a kind takes is declared in evaluation.METHODS.
     """
 
     kind: str
@@ -93,78 +94,53 @@ class RunConfig:
     g_coeffs: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        method = METHODS.get(self.kind)
+        if method is None:
             raise ValueError(f"unknown filter kind {self.kind!r}")
         if self.kind == "adaptive-k":
             if self.k is None:
                 raise ValueError("adaptive-k requires --k")
         elif self.k is not None:
             raise ValueError(f"--k does not apply to {self.kind}")
-        explicit = any(
-            v is not None
-            for v in (self.theta, self.a_coeffs, self.level, self.g_coeffs)
-        )
-        if self.tune and explicit:
-            raise ValueError("give either --tune or explicit parameters, not both")
-        if not self.tune and not explicit:
-            raise ValueError("give either --tune or explicit parameters")
+        given = {
+            flag: getattr(self, field)
+            for flag, field in _FLAG_FIELDS.items()
+            if getattr(self, field) is not None
+        }
         if self.tune:
+            if given:
+                raise ValueError("give either --tune or explicit parameters, not both")
             return
-        if self.kind in ("garch11", "garch22"):
-            order = 1 if self.kind == "garch11" else 2
-            if self.theta is not None:
-                raise ValueError(f"--theta does not apply to {self.kind}")
-            if self.level is None:
-                raise ValueError(f"{self.kind} requires --level (the constant K)")
-            if self.g_coeffs is None or len(self.g_coeffs) != order:
-                raise ValueError(f"{self.kind} requires --g with {order} value(s)")
-            if self.a_coeffs is None or len(self.a_coeffs) != order:
-                raise ValueError(f"{self.kind} requires --a with {order} value(s)")
-            return
-        if self.theta is None:
-            raise ValueError(f"{self.kind} requires --theta")
-        if self.g_coeffs is not None:
-            raise ValueError(f"--g does not apply to {self.kind}")
-        if self.kind == "filter0":
-            if self.a_coeffs is not None or self.level is not None:
-                raise ValueError("filter0 takes only --theta")
-        elif self.kind == "filter1":
-            if self.a_coeffs is None or len(self.a_coeffs) != 1:
-                raise ValueError("filter1 requires --a with 1 value")
-            if self.level is None:
-                raise ValueError("filter1 requires --level")
-        elif self.kind == "filter2":
-            if self.a_coeffs is None or len(self.a_coeffs) != 2:
-                raise ValueError("filter2 requires --a with 2 values")
-            if self.level is None:
-                raise ValueError("filter2 requires --level")
-        else:  # adaptive-k: a_coeffs and level are optional refinements
-            if self.a_coeffs is not None and len(self.a_coeffs) != self.k + 1:
-                raise ValueError(f"adaptive-k requires --a with k+1={self.k + 1} values")
+        if not given:
+            raise ValueError("give either --tune or explicit parameters")
+        for flag in given:
+            if flag not in method.flags:
+                takes = ", ".join(f"--{name}" for name in method.flags)
+                raise ValueError(
+                    f"--{flag} does not apply to {self.kind}; it takes only {takes}"
+                )
+        for flag, count in method.flags.items():
+            if count is None:
+                continue
+            if flag not in given:
+                raise ValueError(f"{self.kind} requires --{flag}")
+            if np.size(given[flag]) != count:
+                raise ValueError(f"{self.kind} requires --{flag} with {count} value(s)")
+        self.explicit_params()
 
     def explicit_params(self) -> ExtendedParams | GarchParams:
-        if self.kind in ("garch11", "garch22"):
-            order = 1 if self.kind == "garch11" else 2
-            return GarchParams(
-                p=order,
-                q=order,
-                k_const=self.level,
-                g_coeffs=self.g_coeffs,
-                a_coeffs=self.a_coeffs,
-            )
-        if self.kind == "filter0":
-            return ExtendedParams(k=0, theta=self.theta, a_coeffs=(0.0,), k_level=0.0)
-        if self.kind == "filter1":
-            return ExtendedParams(
-                k=0, theta=self.theta, a_coeffs=self.a_coeffs, k_level=self.level
-            )
-        if self.kind == "filter2":
-            return ExtendedParams(
-                k=1, theta=self.theta, a_coeffs=self.a_coeffs, k_level=self.level
-            )
-        a = self.a_coeffs if self.a_coeffs is not None else (0.0,) * (self.k + 1)
-        level = self.level if self.level is not None else 0.0
-        return ExtendedParams(k=self.k, theta=self.theta, a_coeffs=a, k_level=level)
+        """The parameters the explicit flags give; a and level default to zeros."""
+        a = self.a_coeffs
+        level = 0.0 if self.level is None else self.level
+        if self.g_coeffs is not None:
+            return GarchParams(len(self.g_coeffs), len(a), level, self.g_coeffs, a)
+        if self.k is not None:
+            k = self.k
+        else:
+            k = 0 if a is None else len(a) - 1
+        if a is None:
+            a = (0.0,) * (k + 1)
+        return ExtendedParams(k=k, theta=self.theta, a_coeffs=a, k_level=level)
 
 
 def load_prices(path, delta: float, name: str | None = None) -> PriceSeries:
@@ -269,22 +245,8 @@ def _load_xs(args) -> np.ndarray:
 
 
 def _params_doc(params) -> dict:
-    if isinstance(params, ExtendedParams):
-        return {
-            "kind": "extended",
-            "k": params.k,
-            "theta": params.theta,
-            "a_coeffs": list(params.a_coeffs),
-            "k_level": params.k_level,
-        }
-    return {
-        "kind": "garch",
-        "p": params.p,
-        "q": params.q,
-        "k_const": params.k_const,
-        "g_coeffs": list(params.g_coeffs),
-        "a_coeffs": list(params.a_coeffs),
-    }
+    kind = "extended" if isinstance(params, ExtendedParams) else "garch"
+    return {"kind": kind, **{f.name: getattr(params, f.name) for f in fields(params)}}
 
 
 def _tuning_doc(kind: str, report) -> dict:
@@ -320,7 +282,7 @@ def _cmd_track(args) -> int:
         g_coeffs=args.g,
     )
     if config.tune:
-        params = TUNERS[config.kind](xs, config.k).best_params
+        params = METHODS[config.kind].tune(xs, config.k).best_params
     else:
         params = config.explicit_params()
     result = run(xs, params)
@@ -337,9 +299,8 @@ def _cmd_track(args) -> int:
 
 def _cmd_tune(args) -> int:
     xs = _load_xs(args)
-    if args.filter == "adaptive-k" and args.k is None:
-        raise ValueError("adaptive-k requires --k")
-    report = TUNERS[args.filter](xs, args.k)
+    RunConfig(kind=args.filter, k=args.k, tune=True)
+    report = METHODS[args.filter].tune(xs, args.k)
     _write(args.out, json.dumps(_tuning_doc(args.filter, report), indent=2) + "\n")
     print(f"best_sn = {float_repr(report.best_sn)}")
     return 0
@@ -436,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     track = sub.add_parser("track", help="run a filter over a series")
     _add_series_source(track)
-    track.add_argument("--filter", choices=_KINDS, required=True)
+    track.add_argument("--filter", choices=tuple(METHODS), required=True)
     track.add_argument("--k", type=int, help="smoothness order for adaptive-k")
     track.add_argument("--tune", action="store_true", help="tune before running")
     track.add_argument("--theta", type=float, help="adaptation parameter")
@@ -448,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     tune = sub.add_parser("tune", help="tune a filter and write the report")
     _add_series_source(tune)
-    tune.add_argument("--filter", choices=_KINDS, required=True)
+    tune.add_argument("--filter", choices=tuple(METHODS), required=True)
     tune.add_argument("--k", type=int, help="smoothness order for adaptive-k")
     tune.add_argument("--out", required=True, help="tuning report JSON output")
     tune.set_defaults(func=_cmd_tune)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy import stats
@@ -34,7 +34,8 @@ __all__ = [
     "OrderingResult",
     "BenchReport",
     "BENCH_METHODS",
-    "TUNERS",
+    "METHODS",
+    "Method",
     "burn_in_index",
     "vn_metric",
     "convergence_experiment",
@@ -52,19 +53,34 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-BENCH_METHODS = ("garch11", "garch22", "filter0", "filter1", "filter2")
 
-# Method name -> tuner of (xs, k); only adaptive-k reads the order k.  Each
-# entry looks its tuner up in this module at call time, so wrappers set on
-# these bindings (perfbench/tracer.py) see every tuner call.
-TUNERS: dict[str, Callable[..., TuningReport]] = {
-    "garch11": lambda xs, k: fit_garch(xs, 1, 1),
-    "garch22": lambda xs, k: fit_garch(xs, 2, 2),
-    "filter0": lambda xs, k: tune_filter0(xs, 0),
-    "filter1": lambda xs, k: tune_filter1(xs),
-    "filter2": lambda xs, k: tune_filter2(xs),
-    "adaptive-k": lambda xs, k: tune_filter0(xs, k),
+class Method(NamedTuple):
+    """How a method is tuned and which explicit track flags it takes.
+
+    tune maps (xs, k) to a TuningReport; only adaptive-k reads the order
+    k.  flags maps each explicit flag, in help order, to its value count;
+    None marks an optional flag whose count the parameter dataclass checks.
+    """
+
+    tune: Callable[..., TuningReport]
+    flags: Mapping[str, int | None]
+
+
+# Method name -> Method: the one place a method name is declared.  Each
+# tuner is looked up in this module at call time, so wrappers set on these
+# bindings (perfbench/tracer.py) see every tuner call.
+METHODS: dict[str, Method] = {
+    "garch11": Method(lambda xs, k: fit_garch(xs, 1, 1), {"level": 1, "g": 1, "a": 1}),
+    "garch22": Method(lambda xs, k: fit_garch(xs, 2, 2), {"level": 1, "g": 2, "a": 2}),
+    "filter0": Method(lambda xs, k: tune_filter0(xs, 0), {"theta": 1}),
+    "filter1": Method(lambda xs, k: tune_filter1(xs), {"theta": 1, "a": 1, "level": 1}),
+    "filter2": Method(lambda xs, k: tune_filter2(xs), {"theta": 1, "a": 2, "level": 1}),
+    "adaptive-k": Method(
+        lambda xs, k: tune_filter0(xs, k), {"theta": 1, "a": None, "level": None}
+    ),
 }
+
+BENCH_METHODS = tuple(name for name in METHODS if name != "adaptive-k")
 
 _MIN_BENCH_LENGTH = 100
 
@@ -301,7 +317,7 @@ def benchmark_report(series_set: Mapping[str, Sequence[float]]) -> BenchReport:
         row_cells = []
         for method in BENCH_METHODS:
             try:
-                row_cells.append(float(TUNERS[method](xs, None).best_sn))
+                row_cells.append(float(METHODS[method].tune(xs, None).best_sn))
             except (VoltrackError, ValueError):
                 row_cells.append(None)
         cells.append(tuple(row_cells))

@@ -91,7 +91,10 @@ class ExtendedParams:
             raise ValueError("a_coeffs must be finite and non-negative")
         if not math.isfinite(self.k_level):
             raise ValueError("k_level must be finite")
-        if any(a > 0.0 for a in self.a_coeffs):
+        # For k <= 1 non-negative coefficients never give a root in the right
+        # half-plane: x + a1 has root -a1, and x^2 + a1 x + a2 has roots with
+        # real part -a1/2 or real roots in [-a1, 0].  Only k >= 2 is checked.
+        if self.k >= 2 and any(a > 0.0 for a in self.a_coeffs):
             roots = np.roots([1.0, *self.a_coeffs])
             scale = max(1.0, float(np.max(np.abs(roots))))
             if np.any(roots.real > 1e-9 * scale):

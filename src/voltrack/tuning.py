@@ -377,11 +377,9 @@ def fit_garch(xs: Sequence[float], p: int = 1, q: int = 1) -> TuningReport:
     x_arr = _series(xs)
     mean_x = float(np.mean(x_arr))
     evaluations: list = []
-    best_sn = math.inf
-    best_params: GarchParams | None = None
+    sn_of = _make_sn(x_arr, evaluations)
 
     def objective(vec) -> float:
-        nonlocal best_sn, best_params
         k_const = float(vec[0])
         g = tuple(float(v) for v in vec[1 : 1 + p])
         a = tuple(float(v) for v in vec[1 + p :])
@@ -390,15 +388,7 @@ def fit_garch(xs: Sequence[float], p: int = 1, q: int = 1) -> TuningReport:
         total = sum(g) + sum(a)
         if viol > 0.0 or total >= 1.0:
             return _PENALTY * (1.0 + viol + max(0.0, total - 1.0))
-        params = GarchParams(p=p, q=q, k_const=k_const, g_coeffs=g, a_coeffs=a)
-        with np.errstate(over="ignore", invalid="ignore"):
-            value = run(x_arr, params).s_n
-        if not math.isfinite(value):
-            return _PENALTY
-        evaluations.append((params, value))
-        if value < best_sn:
-            best_sn, best_params = value, params
-        return value
+        return sn_of(GarchParams(p=p, q=q, k_const=k_const, g_coeffs=g, a_coeffs=a))
 
     starts = []
     for k0 in (0.0, 0.1 * mean_x):
@@ -424,8 +414,10 @@ def fit_garch(xs: Sequence[float], p: int = 1, q: int = 1) -> TuningReport:
                 sn=float(res.fun),
             )
         )
-    if best_params is None:
+    if not evaluations:
         raise TuningError("no feasible GARCH parameter set was evaluated")
+    # min returns the first of equal minima: ties go to the earliest evaluation.
+    best_params, best_sn = min(evaluations, key=lambda e: e[1])
     return TuningReport(
         best_params=best_params,
         best_sn=best_sn,

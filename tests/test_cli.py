@@ -19,7 +19,8 @@ from voltrack import (
     load_prices,
     main,
 )
-from voltrack.cli import DEFAULT_DELTA, PriceSeries, RunConfig, dispatch
+from voltrack.cli import DEFAULT_DELTA, PriceSeries, RunConfig, build_parser, dispatch
+from voltrack.evaluation import BENCH_METHODS, METHODS
 
 SCENARIO_TEXT = """\
 # sinusoidal volatility around a constant drift
@@ -393,6 +394,47 @@ class TestTune:
         )
         assert code == 1
         assert "--k" in capsys.readouterr().err
+
+
+    def test_k_rejected_for_other_kinds(self, tmp_path, capsys):
+        scenario = write_scenario(tmp_path)
+        code = main(
+            [
+                "tune",
+                "--scenario", scenario,
+                "--n", "150",
+                "--filter", "filter0",
+                "--k", "3",
+                "--out", str(tmp_path / "r.json"),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: --k does not apply to filter0\n"
+
+
+def filter_choices(command):
+    subcommands = build_parser()._subparsers._group_actions[0].choices
+    return next(a.choices for a in subcommands[command]._actions if a.dest == "filter")
+
+
+class TestMethodTable:
+    @pytest.mark.parametrize("kind", METHODS)
+    def test_cli_derives_from_table(self, kind, tmp_path, capsys):
+        assert filter_choices("track") == filter_choices("tune") == tuple(METHODS)
+        assert BENCH_METHODS == ("garch11", "garch22", "filter0", "filter1", "filter2")
+        if kind not in ("filter0", "filter1", "adaptive-k"):
+            return  # GARCH fits and filter2's grid are too slow to tune twice here
+        source = [
+            "--scenario", write_scenario(tmp_path),
+            "--n", "200",
+            "--seed", "3",
+            "--filter", kind,
+            *(["--k", "1"] if kind == "adaptive-k" else []),
+        ]
+        assert main(["track", *source, "--tune", "--out", str(tmp_path / "e.csv")]) == 0
+        s_n = capsys.readouterr().out.strip().removeprefix("s_n = ")
+        assert main(["tune", *source, "--out", str(tmp_path / "r.json")]) == 0
+        assert capsys.readouterr().out == f"best_sn = {s_n}\n"
 
 
 class TestSimulate:

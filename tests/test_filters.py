@@ -86,6 +86,24 @@ class TestExtendedParams:
         with pytest.raises(ValueError):
             ExtendedParams(k=2, theta=1.0, a_coeffs=(1.0, 1.0, 10.0), k_level=0.0)
 
+    @settings(derandomize=True, max_examples=50, deadline=None, database=None)
+    @given(
+        st.integers(0, 1),
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(-12.0, 6.0).map(lambda e: 10.0**e)),
+            min_size=2,
+            max_size=2,
+        ),
+    )
+    def test_orders_below_two_need_no_root_check(self, k, draws):
+        # ExtendedParams skips np.roots for k <= 1; the criterion it would
+        # apply accepts every non-negative coefficient vector there.
+        a_coeffs = tuple(draws[: k + 1])
+        roots = np.roots([1.0, *a_coeffs])
+        scale = max(1.0, float(np.max(np.abs(roots))))
+        assert not np.any(roots.real > 1e-9 * scale)
+        assert ExtendedParams(k=k, theta=1.0, a_coeffs=a_coeffs).a_coeffs == a_coeffs
+
     def test_accepts_all_zero_a(self):
         ext = ExtendedParams(k=3, theta=1.0, a_coeffs=(0.0,) * 4, k_level=0.0)
         assert ext.a_coeffs == (0.0,) * 4
