@@ -1,0 +1,8 @@
+"""Entry point for ``python -m voltrack``: the same tool as ``voltrack``."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

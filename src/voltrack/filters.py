@@ -15,7 +15,9 @@ Each family's recursion is written once, as a private fold: run()
 folds it over the whole series and step_* over one observation, so run
 equals the composition of steps by construction.  The k=0 fold keeps a
 coefficient form with the same float operations as its GARCH(1,1) twin,
-which makes that reduction exact bit for bit.
+which makes that reduction exact bit for bit.  For fixed g the GARCH
+estimates are affine in K and a; _garch_basis returns the responses
+that the GARCH fit combines.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import DataError
 from .gains import MAX_ORDER, GainSchedule, gain_schedule
@@ -229,6 +232,37 @@ def _fold_garch(
         est.append(acc)
         obs.append(x)
     return est[len(est) - p :], obs[len(obs) - (q - 1) :]
+
+
+def _garch_basis(x_arr: np.ndarray, g_coeffs: Sequence[float], q: int) -> np.ndarray:
+    """Responses of run()'s GARCH recursion for fixed g, one per column.
+
+    Column 0 is the estimate path with K = a = 0 (only the pre-sample
+    values x[0] drive it), column 1 the response to K = 1 and column
+    1 + m the response to a_m = 1, with run()'s pre-sample padding.
+    Without the zero floor the estimates of GARCH(p, q) with these g are
+    column 0 + K column 1 + sum_m a_m column (1 + m), up to rounding; the
+    floor never fires when x, K and the coefficients are all non-negative.
+    """
+    n, p = int(x_arr.size), len(g_coeffs)
+    x0 = float(x_arr[0])
+    # Lower band storage of the unit lower-triangular system
+    # v[i] - sum_j g_j v[i-j] = (inputs of step i-1), with v[0] = x[0].
+    band = np.zeros((p + 1, n))
+    band[0] = 1.0
+    inputs = np.zeros((n, 2 + q))
+    inputs[0, 0] = x0
+    for j, g in enumerate(g_coeffs, start=1):
+        band[j, : n - j] = -g
+        # pre-sample estimates v[i-j] = x[0] for i < j
+        inputs[1:j, 0] += g * x0
+    inputs[1:, 1] = 1.0
+    padded = np.concatenate((np.full(q - 1, x0), x_arr[:-1]))
+    for m in range(1, q + 1):
+        inputs[1:, 1 + m] = padded[q - m : q - m + n - 1]
+    # forward substitution; the unit diagonal cannot make it fail
+    basis, _ = lapack.dtbtrs(band, inputs, uplo="L")
+    return basis
 
 
 def step_adaptive(

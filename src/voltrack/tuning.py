@@ -7,8 +7,11 @@ parameter theta with everything else zero, then the long-run level K as
 the sample mean, then the relaxation coefficients on a grid (plus a
 simplex refinement in the two-coefficient case), and finally a local
 coordinate-descent polish of all parameters with shrinking brackets.
-Classical GARCH is fitted by multi-start Nelder-Mead under the
-stationarity constraint.
+Classical GARCH is fitted by variable projection: for fixed recursive
+coefficients g the estimates are affine in the constant K and the
+reaction coefficients a, so the best K and a solve a small constrained
+least-squares problem exactly, and only g is searched, on a grid and
+then by multi-start Nelder-Mead, under the stationarity constraint.
 
 All searches use fixed grids, fixed starts and deterministic
 refinements, so identical inputs produce identical reports.
@@ -16,6 +19,8 @@ refinements, so identical inputs produce identical reports.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -24,7 +29,7 @@ import numpy as np
 from scipy import optimize
 
 from .errors import TuningError
-from .filters import ExtendedParams, GarchParams, run
+from .filters import ExtendedParams, GarchParams, _garch_basis, run
 
 __all__ = [
     "TuningStage",
@@ -46,6 +51,15 @@ _POLISH_FRACS = (0.25, 0.125, 0.0625)
 # Large finite stand-in so the scalar minimizer can order diverged or
 # infeasible points without tripping its non-finite guard.
 _PENALTY = 1e12
+# GARCH search: each recursive coefficient is scanned on 11 points of
+# [0, 1], with the upper end one ulp inside so that g alone stays below
+# one, and the best grid points seed one Nelder-Mead refinement each.
+_G_AXIS = tuple(float(v) for v in np.linspace(0.0, math.nextafter(1.0, 0.0), 11))
+_GARCH_STARTS = 8
+# Relative pivot size below which a small least-squares system is singular.
+_SINGULAR = 1e-12
+# Rounding allowance, relative to the terms summed, in optimality tests.
+_KKT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -364,55 +378,223 @@ def tune_filter2(xs: Sequence[float]) -> TuningReport:
     )
 
 
-def fit_garch(xs: Sequence[float], p: int = 1, q: int = 1) -> TuningReport:
-    """Fit GARCH(p, q) by multi-start Nelder-Mead least squares.
+def _solve_psd(mat: list[list[float]], vec: list[float]) -> list[float] | None:
+    """Solve a small symmetric positive semi-definite system.
 
-    Eight deterministic starts cover low/high persistence and low/high
-    reaction; the constraint set (all coefficients non-negative, their
-    sum strictly below one) is enforced through a penalty, and only
-    feasible parameter sets enter the report.
+    Gaussian elimination without pivoting.  Returns None when a pivot
+    falls to rounding level against its diagonal entry, that is when the
+    system is singular.
+    """
+    m = len(vec)
+    mat = [row[:] for row in mat]
+    vec = list(vec)
+    diag = [mat[i][i] for i in range(m)]
+    for i in range(m):
+        piv = mat[i][i]
+        if not piv > _SINGULAR * diag[i]:
+            return None
+        for r in range(i + 1, m):
+            f = mat[r][i] / piv
+            for c in range(i, m):
+                mat[r][c] -= f * mat[i][c]
+            vec[r] -= f * vec[i]
+    y = [0.0] * m
+    for i in range(m - 1, -1, -1):
+        y[i] = (vec[i] - sum(mat[i][c] * y[c] for c in range(i + 1, m))) / mat[i][i]
+    return y
+
+
+def _face_minimum(
+    gram: list[list[float]],
+    rhs: list[float],
+    cap: float,
+    free: tuple[int, ...],
+    pivot: int | None,
+) -> list[float] | None:
+    """Minimum of t'Gt - 2r't on the affine hull of one face.
+
+    Entries outside `free` are zero.  With a pivot the cap binds:
+    t[pivot] is cap minus the other free entries of t[1:].  Returns None
+    when the reduced system is singular.
+    """
+    t = [0.0] * len(rhs)
+    if pivot is None:
+        mat = [[gram[i][j] for j in free] for i in free]
+        y = _solve_psd(mat, [rhs[i] for i in free])
+        if y is None:
+            return None
+        for j, v in zip(free, y):
+            t[j] = v
+        return t
+    others = [j for j in free if j != pivot]
+    # Raising t[j] for j >= 1 lowers t[pivot] by as much: w[j] = 1.
+    w = [float(j > 0) for j in others]
+    gp, gpp, rp = gram[pivot], gram[pivot][pivot], rhs[pivot]
+    mat = [
+        [
+            gram[j][k] - wk * gp[j] - wj * gp[k] + wj * wk * gpp
+            for k, wk in zip(others, w)
+        ]
+        for j, wj in zip(others, w)
+    ]
+    vec = [rhs[j] - cap * gp[j] - wj * (rp - cap * gpp) for j, wj in zip(others, w)]
+    y = _solve_psd(mat, vec)
+    if y is None:
+        return None
+    for j, v in zip(others, y):
+        t[j] = v
+    t[pivot] = cap - sum(wj * v for wj, v in zip(w, y))
+    return t
+
+
+@functools.lru_cache(maxsize=None)
+def _faces(d: int) -> tuple[tuple[tuple[int, ...], int | None], ...]:
+    """Faces of {t >= 0, sum(t[1:]) <= cap} in R^d, in the order tried.
+
+    A face is (free entries, pivot): the other entries are zero, and with
+    a pivot the cap binds.  Faces with t[0] (the constant K) free come
+    first, larger faces before smaller, and cap faces last, which puts
+    the usual optima of GARCH fits among the first few.
+    """
+    subsets = [c for m in range(d, 0, -1) for c in itertools.combinations(range(d), m)]
+    subsets.sort(key=lambda c: c[0] != 0)
+    capped = [(c, c[-1]) for c in subsets if c[-1] > 0]
+    return tuple([(c, None) for c in subsets] + capped)
+
+
+def _capped_nnls(gram: list[list[float]], rhs: list[float], cap: float) -> list[float]:
+    """Minimize t'Gt - 2r't over t >= 0 with sum(t[1:]) <= cap, exactly.
+
+    The minimum of this convex quadratic lies in the relative interior of
+    one face of the feasible set, where it is also the minimum over the
+    face's affine hull.  Faces are solved that way, in the order of
+    _faces, until a solution is feasible and meets the Karush-Kuhn-Tucker
+    sign conditions, which make it the global minimum.  A face with a
+    singular reduced system is skipped, because one of its own faces then
+    reaches the same value.  Should rounding fail every sign test, the feasible
+    solution with the lowest value is returned (t = 0 always qualifies).
+    """
+    d = len(rhs)
+    best, best_f = [0.0] * d, 0.0
+    for free, pivot in _faces(d):
+        t = _face_minimum(gram, rhs, cap, free, pivot)
+        if t is None or min(t) < 0.0 or (pivot is None and sum(t[1:]) > cap):
+            continue
+        terms = [[gram[i][j] * t[j] for j in range(d)] for i in range(d)]
+        grad = [sum(row) - r for row, r in zip(terms, rhs)]
+        tol = [
+            _KKT_TOL * (abs(r) + sum(abs(v) for v in row))
+            for row, r in zip(terms, rhs)
+        ]
+        # Multipliers: lam for the cap (zero where it does not bind),
+        # grad[i] + lam for a fixed a_i and grad[0] for a fixed K.
+        lam = 0.0 if pivot is None else -grad[pivot]
+        if (pivot is None or lam >= -tol[pivot]) and all(
+            grad[i] + lam * (i > 0) >= -tol[i] for i in range(d) if i not in free
+        ):
+            return t
+        f = sum(ti * (gi - r) for ti, gi, r in zip(t, grad, rhs))
+        if f < best_f:
+            best, best_f = t, f
+    return best
+
+
+def _solve_k_a(
+    x_arr: np.ndarray, g: tuple[float, ...], q: int
+) -> tuple[float, tuple[float, ...]]:
+    """Least-squares K and a_1..a_q of GARCH(len(g), q) for fixed g.
+
+    The estimates are affine in (K, a) (filters._garch_basis), so S_n is
+    a quadratic in them, minimized exactly over K, a >= 0 and
+    sum(a) <= 1 - sum(g).  Where the cap binds, a is then shrunk by a few
+    ulps so that sum(g) + sum(a) stays strictly below one.
+    """
+    basis = _garch_basis(x_arr, g, q)
+    cols = basis[:, 1:]
+    gram = (cols.T @ cols).tolist()
+    rhs = (cols.T @ (x_arr - basis[:, 0])).tolist()
+    g_sum = sum(g)
+    k_const, *a = _capped_nnls(gram, rhs, 1.0 - g_sum)
+    return k_const, _below_one(g_sum, a)
+
+
+def _below_one(base: float, coeffs: Sequence[float]) -> tuple[float, ...]:
+    """coeffs shrunk by the fewest ulps that put base + sum(coeffs) below 1."""
+    shrink = 2.0**-53
+    while base + sum(coeffs) >= 1.0:
+        coeffs = [c * (1.0 - shrink) for c in coeffs]
+        shrink *= 2.0
+    return tuple(coeffs)
+
+
+def fit_garch(xs: Sequence[float], p: int = 1, q: int = 1) -> TuningReport:
+    """Fit GARCH(p, q) by least squares, with K and a profiled out.
+
+    For fixed recursive coefficients g the estimates are affine in the
+    constant K and the coefficients a_1..a_q, so their best values solve
+    a small constrained least-squares problem exactly (K, a >= 0 and
+    sum(g) + sum(a) < 1; see _solve_k_a), and only g is searched
+    (variable projection, Golub and Pereyra 1973).  The search scans a
+    grid (11 points per coefficient on [0, 1), pairs with g1 + g2 < 1)
+    and refines the 8 best grid points by Nelder-Mead; each refinement is
+    one trace stage.  Every value the search sees is a full run, and only
+    these feasible runs enter the report, so best_sn is run(best_params).s_n.
+
+    The profile is exact for non-negative observations, as squared
+    returns always are: the recursion's zero floor then never fires.  A
+    series with negative values can trip the floor; the fit is then a
+    heuristic, though best_sn is still the S_n of a real run.
     """
     if p not in (1, 2) or q not in (1, 2):
         raise ValueError(f"p and q must be 1 or 2, got p={p}, q={q}")
     x_arr = _series(xs)
-    mean_x = float(np.mean(x_arr))
     evaluations: list = []
     sn_of = _make_sn(x_arr, evaluations)
+    seen: dict = {}
+
+    def profiled(g: tuple[float, ...]) -> tuple[GarchParams, float]:
+        if g not in seen:
+            k_const, a = _solve_k_a(x_arr, g, q)
+            params = GarchParams(p=p, q=q, k_const=k_const, g_coeffs=g, a_coeffs=a)
+            seen[g] = (params, sn_of(params))
+        return seen[g]
+
+    # Axis points whose sum rounds to one are pulled just inside.
+    grid = [
+        _below_one(0.0, g)
+        for g in itertools.product(_G_AXIS, repeat=p)
+        if sum(g) <= 1.0
+    ]
+    grid_sn = [profiled(g)[1] for g in grid]
+    # sorted is stable: equal values keep the grid order.
+    starts = sorted(range(len(grid)), key=grid_sn.__getitem__)[:_GARCH_STARTS]
+
+    def clipped(vec) -> tuple[float, ...]:
+        # Negative coefficients are scored at zero, so optima on that
+        # boundary are reached exactly.
+        return tuple(max(0.0, float(v)) for v in vec)
 
     def objective(vec) -> float:
-        k_const = float(vec[0])
-        g = tuple(float(v) for v in vec[1 : 1 + p])
-        a = tuple(float(v) for v in vec[1 + p :])
-        viol = max(0.0, -k_const)
-        viol += sum(max(0.0, -c) for c in g + a)
-        total = sum(g) + sum(a)
-        if viol > 0.0 or total >= 1.0:
-            return _PENALTY * (1.0 + viol + max(0.0, total - 1.0))
-        return sn_of(GarchParams(p=p, q=q, k_const=k_const, g_coeffs=g, a_coeffs=a))
+        g = clipped(vec)
+        # Nelder-Mead orders infinities correctly; a finite penalty could
+        # undercut the S_n of a series on a large scale.
+        return profiled(g)[1] if sum(g) < 1.0 else math.inf
 
-    starts = []
-    for k0 in (0.0, 0.1 * mean_x):
-        for gsum in (0.4, 0.8):
-            for asum in (0.05, 0.15):
-                starts.append([k0] + [gsum / p] * p + [asum / q] * q)
-
+    names = ["K", *(f"g{j}" for j in range(1, p + 1))]
+    names += [f"a{m}" for m in range(1, q + 1)]
     trace = []
-    for idx, start in enumerate(starts, start=1):
+    for idx, i in enumerate(starts, start=1):
         res = optimize.minimize(
             objective,
-            np.asarray(start),
+            np.asarray(grid[i]),
             method="Nelder-Mead",
             options={"xatol": 1e-6, "fatol": 1e-12, "maxiter": 600, "maxfev": 2000},
         )
-        names = ["K"] + [f"g{j}" for j in range(1, p + 1)] + [
-            f"a{m}" for m in range(1, q + 1)
-        ]
+        # res.x is the best vertex, already evaluated: a lookup, not a run
+        params, value = profiled(clipped(res.x))
+        coeffs = (params.k_const, *params.g_coeffs, *params.a_coeffs)
         trace.append(
-            TuningStage(
-                name=f"start{idx}",
-                params=dict(zip(names, (float(v) for v in res.x))),
-                sn=float(res.fun),
-            )
+            TuningStage(name=f"start{idx}", params=dict(zip(names, coeffs)), sn=value)
         )
     if not evaluations:
         raise TuningError("no feasible GARCH parameter set was evaluated")

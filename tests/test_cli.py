@@ -7,6 +7,10 @@ files against the in-memory API on the same inputs.
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -599,3 +603,18 @@ class TestOutDirRedirect:
         assert (tmp_path / "kept.csv").exists()
         assert not (out_dir / "kept.csv").exists()
         capsys.readouterr()
+
+
+class TestModuleEntry:
+    def test_python_m_voltrack_runs_from_a_checkout(self):
+        # `python -m voltrack` must work without an install and without the
+        # RuntimeWarning that `python -m voltrack.cli` triggers.
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH="src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "voltrack", "--help"],
+            cwd=root, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert proc.stdout.startswith("usage: voltrack")

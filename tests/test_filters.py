@@ -25,7 +25,7 @@ from voltrack import (
     step_adaptive,
     step_garch,
 )
-from voltrack.filters import _warmup_count
+from voltrack.filters import _garch_basis, _warmup_count
 
 
 def stable_a(k: int) -> tuple[float, ...]:
@@ -419,6 +419,19 @@ class TestRunGarch:
         assert_allclose(
             result.s_n, float(np.mean(np.square(xs - result.estimates))), rtol=1e-12
         )
+
+    @pytest.mark.parametrize("p,q", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_basis_responses_combine_to_the_run(self, p, q):
+        # For fixed g the estimates are affine in (K, a): the seed column
+        # plus K and a_m times their response columns.
+        xs = noisy_series(300)
+        g = (0.5, 0.3)[:p]
+        a = (0.1, 0.05)[:q]
+        par = GarchParams(p=p, q=q, k_const=0.01, g_coeffs=g, a_coeffs=a)
+        basis = _garch_basis(xs, g, q)
+        assert basis.shape == (300, 2 + q)
+        combined = basis[:, 0] + 0.01 * basis[:, 1] + basis[:, 2:] @ np.asarray(a)
+        assert_allclose(combined, run(xs, par).estimates, rtol=1e-13, atol=1e-15)
 
 
 class TestGarchTwin:

@@ -2,14 +2,18 @@
 
 Oracles: scalar problems with known minima, constant series where the
 objective vanishes identically, a noiseless self-consistent GARCH
-recursion that a correct fit drives to zero, and structural identities
-between stages that share their search path bit for bit.
+recursion that a correct fit drives to zero, structural identities
+between stages that share their search path bit for bit, nesting of
+GARCH(1,1) in GARCH(2,2), and random feasible alternatives that the
+exact inner (K, a) solve of the GARCH fit must never beat.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voltrack import (
     ExtendedParams,
@@ -22,6 +26,7 @@ from voltrack import (
     tune_filter1,
     tune_filter2,
 )
+from voltrack.tuning import _solve_k_a
 
 
 def noise_series(size: int = 300, seed: int = 42) -> np.ndarray:
@@ -206,6 +211,22 @@ class TestFitGarch:
         assert all(c >= 0.0 for c in par.g_coeffs + par.a_coeffs)
         assert sum(par.g_coeffs) + sum(par.a_coeffs) < 1.0
 
+    def test_garch22_is_no_worse_than_the_garch11_it_contains(self):
+        # GARCH(1,1) is GARCH(2,2) with g2 = a2 = 0, so the larger fit must
+        # reach at least the smaller one's loss.
+        xs = noise_series()
+        assert fit_garch(xs, 2, 2).best_sn <= fit_garch(xs, 1, 1).best_sn * (1 + 1e-12)
+
+    def test_large_scale_series_keeps_the_search_feasible(self):
+        # S_n near 1e14 is far above any fixed penalty: points with
+        # g1 + g2 >= 1 must still rank below every feasible one.
+        rng = np.random.default_rng(3)
+        xs = 1e8 * np.repeat([0.05, 0.2, 0.1], 100) * rng.standard_normal(300) ** 2
+        report = fit_garch(xs)
+        par = report.best_params
+        assert sum(par.g_coeffs) + sum(par.a_coeffs) < 1.0
+        assert report.best_sn == run(xs, par).s_n
+
     def test_rejects_unsupported_orders(self):
         with pytest.raises(ValueError):
             fit_garch(noise_series(), p=3, q=1)
@@ -215,3 +236,58 @@ class TestFitGarch:
     def test_rejects_short_series(self):
         with pytest.raises(ValueError):
             fit_garch(np.full(20, 0.1))
+
+
+@st.composite
+def garch_profile_cases(draw):
+    """(xs, p, q, g): a non-negative series and recursive coefficients with sum(g) < 1.
+
+    The series is squared Gaussian noise around a level that drifts
+    sinusoidally, the shape of the squared returns the fits see.
+    """
+    p = draw(st.sampled_from((1, 2)))
+    q = draw(st.sampled_from((1, 2)))
+    size = draw(st.integers(50, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    swing = draw(st.floats(0.0, 0.9))
+    level = 0.1 * (1.0 + swing * np.sin(np.linspace(0.0, 2.0 * math.pi, size)))
+    xs = level * rng.standard_normal(size) ** 2
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=p, max_size=p))
+    total = draw(st.floats(0.0, 0.999))
+    g = tuple(total * w / max(sum(weights), 1e-300) for w in weights)
+    return xs, p, q, g
+
+
+def feasible_k_a(data, q, cap, center=None):
+    """A random (K, a) with K, a >= 0 and sum(a) < cap, near `center` if given."""
+    if center is None:
+        k_const = data.draw(st.floats(0.0, 1.0))
+        shares = data.draw(st.lists(st.floats(0.0, 1.0), min_size=q, max_size=q))
+        scale = data.draw(st.floats(0.0, 0.999)) * cap / max(sum(shares), 1.0)
+        return k_const, tuple(scale * s for s in shares)
+    steps = data.draw(st.lists(st.floats(-1e-3, 1e-3), min_size=q + 1, max_size=q + 1))
+    k_const = max(0.0, center[0] + steps[0] * (abs(center[0]) + 1e-3))
+    a = [max(0.0, c + h * (c + cap)) for c, h in zip(center[1], steps[1:])]
+    if sum(a) >= cap:
+        a = [c * 0.999 * cap / sum(a) for c in a]
+    return k_const, tuple(a)
+
+
+class TestGarchProfile:
+    """The inner solve of fit_garch: exact least-squares K and a for fixed g."""
+
+    @settings(derandomize=True, max_examples=30, deadline=None, database=None)
+    @given(garch_profile_cases(), st.data())
+    def test_solved_k_a_beats_random_feasible_choices(self, case, data):
+        xs, p, q, g = case
+        k_const, a = _solve_k_a(xs, g, q)
+        assert sum(g) + sum(a) < 1.0
+        result = run(xs, GarchParams(p=p, q=q, k_const=k_const, g_coeffs=g, a_coeffs=a))
+        # non-negative estimates: the zero floor of the recursion is inert
+        assert np.all(result.estimates >= 0.0)
+        cap = 1.0 - sum(g)
+        # draws from the whole feasible set and from around the solution
+        for center in (None, None, None, (k_const, a), (k_const, a), (k_const, a)):
+            k_other, a_other = feasible_k_a(data, q, cap, center)
+            other = GarchParams(p=p, q=q, k_const=k_other, g_coeffs=g, a_coeffs=a_other)
+            assert result.s_n <= run(xs, other).s_n * (1 + 1e-12)
