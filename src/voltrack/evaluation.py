@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -343,16 +343,7 @@ def convergence_plot_text(result: ConvergenceResult) -> str:
 
 
 def convergence_json_text(result: ConvergenceResult) -> str:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "convergence",
-        "n_values": list(result.n_values),
-        "mse_values": list(result.mse_values),
-        "fitted_slope": result.fitted_slope,
-        "theoretical_slope": result.theoretical_slope,
-        "seeds_per_n": result.seeds_per_n,
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return _result_json_text("convergence", result)
 
 
 def ordering_csv_text(result: OrderingResult) -> str:
@@ -363,15 +354,13 @@ def ordering_csv_text(result: OrderingResult) -> str:
 
 
 def ordering_json_text(result: OrderingResult) -> str:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "ordering",
-        "theta_grid": list(result.theta_grid),
-        "sn_values": list(result.sn_values),
-        "vn_values": list(result.vn_values),
-        "kendall_tau": result.kendall_tau,
-        "argmin_match": result.argmin_match,
-    }
+    return _result_json_text("ordering", result)
+
+
+def _result_json_text(kind: str, result) -> str:
+    """JSON document of an experiment result: its dataclass fields in order."""
+    doc = {"schema_version": SCHEMA_VERSION, "kind": kind}
+    doc.update((f.name, getattr(result, f.name)) for f in fields(result))
     return json.dumps(doc, indent=2) + "\n"
 
 

@@ -2,16 +2,22 @@
 
 Every tuner minimizes the observable objective S_n, the mean squared
 one-step prediction error of the filter against the observation series.
-The level filters follow a staged procedure: first the single adaptation
-parameter theta with everything else zero, then the long-run level K as
-the sample mean, then the relaxation coefficients on a grid (plus a
-simplex refinement in the two-coefficient case), and finally a local
-coordinate-descent polish of all parameters with shrinking brackets.
+The level filters (k = 0 and 1) share one staged procedure: first the
+single adaptation parameter theta with everything else zero, then the
+long-run level K as the sample mean, then the relaxation coefficients,
+and finally a local coordinate-descent polish of all parameters with
+shrinking brackets.  Only the relaxation search depends on k: the scalar
+minimizer for a_1, or a grid plus a simplex refinement for (a_1, a_2).
 Classical GARCH is fitted by variable projection: for fixed recursive
 coefficients g the estimates are affine in the constant K and the
 reaction coefficients a, so the best K and a solve a small constrained
 least-squares problem exactly, and only g is searched, on a grid and
 then by multi-start Nelder-Mead, under the stationarity constraint.
+
+A run that diverges (non-finite S_n) scores +inf and is not recorded
+among the evaluations, so no search can prefer it to a finite one, on
+any scale of the series.  A tuner that finds no finite S_n raises
+TuningError.
 
 All searches use fixed grids, fixed starts and deterministic
 refinements, so identical inputs produce identical reports.
@@ -48,8 +54,9 @@ _MIN_SAMPLES = 50
 _GRID_POINTS = 25
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _POLISH_FRACS = (0.25, 0.125, 0.0625)
-# Large finite stand-in so the scalar minimizer can order diverged or
-# infeasible points without tripping its non-finite guard.
+# Score of a point outside the (a_1, a_2) box in _relax_pair's Nelder-Mead,
+# grown with the distance to the box.  Finite on purpose: an infinite score
+# there stops the simplex early.  Diverged runs score inf.
 _PENALTY = 1e12
 # GARCH search: each recursive coefficient is scanned on 11 points of
 # [0, 1], with the upper end one ulp inside so that g alone stays below
@@ -95,7 +102,9 @@ def minimize_scalar(
     allows) and refines around the best grid point by golden-section
     search until the bracket is narrower than tol.  The best point
     actually evaluated is returned, so a monotone objective yields the
-    boundary.
+    boundary.  +inf is accepted as the worst value (a diverged run); when
+    every point scores it, the value returned is inf.  NaN and -inf raise
+    TuningError.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
@@ -114,8 +123,8 @@ def minimize_scalar(
         nonlocal best_x, best_f
         x = float(x)
         value = float(objective(x))
-        if not math.isfinite(value):
-            raise TuningError(f"objective returned non-finite value at x={x!r}")
+        if math.isnan(value) or value == -math.inf:
+            raise TuningError(f"objective returned {value!r} at x={x!r}")
         if best_f is None or value < best_f:
             best_x, best_f = x, value
         return value
@@ -158,32 +167,32 @@ def _make_sn(x_arr: np.ndarray, evaluations: list) -> Callable:
         with np.errstate(over="ignore", invalid="ignore"):
             value = run(x_arr, params).s_n
         if not math.isfinite(value):
-            # diverged run: steer the search away without recording
-            return _PENALTY
+            # diverged run: the worst value, never recorded
+            return math.inf
         evaluations.append((params, value))
         return value
 
     return sn_of
 
 
-def _theta_stage(
-    x_arr: np.ndarray,
-    k: int,
-    a_coeffs: tuple[float, ...],
-    k_level: float,
-    sn_of: Callable,
-) -> tuple[float, float]:
-    def objective(theta: float) -> float:
-        return sn_of(
-            ExtendedParams(k=k, theta=theta, a_coeffs=a_coeffs, k_level=k_level)
-        )
+def _theta_stage(k: int, sn_of: Callable) -> tuple[float, float]:
+    """theta of the pure order-k filter (a = K = 0); raises when all diverge."""
+    zeros = (0.0,) * (k + 1)
 
-    return minimize_scalar(objective, _THETA_LO, _THETA_HI, _THETA_TOL)
+    def objective(theta: float) -> float:
+        return sn_of(ExtendedParams(k=k, theta=theta, a_coeffs=zeros, k_level=0.0))
+
+    theta, sn = minimize_scalar(objective, _THETA_LO, _THETA_HI, _THETA_TOL)
+    if sn == math.inf:
+        raise TuningError(
+            f"the filter diverges for every theta in [{_THETA_LO}, {_THETA_HI}]"
+        )
+    return theta, sn
 
 
 def _polish(
     point: list[float],
-    bounds: Sequence[tuple[float, float | None]],
+    bounds: Sequence[tuple[float, float]],
     make_params: Callable,
     sn_of: Callable,
     best_sn: float,
@@ -201,11 +210,8 @@ def _polish(
             half = frac * abs(x)
             if half == 0.0:
                 continue
-            lo, hi = x - half, x + half
             blo, bhi = bounds[j]
-            lo = max(lo, blo)
-            if bhi is not None:
-                hi = min(hi, bhi)
+            lo, hi = max(x - half, blo), min(x + half, bhi)
             if not lo < hi:
                 continue
 
@@ -225,12 +231,9 @@ def _polish(
 
 def tune_filter0(xs: Sequence[float], k: int = 0) -> TuningReport:
     """Tune the pure order-k filter: one-dimensional search over theta."""
-    x_arr = _series(xs)
     evaluations: list = []
-    sn_of = _make_sn(x_arr, evaluations)
-    zeros = (0.0,) * (k + 1)
-    theta, sn = _theta_stage(x_arr, k, zeros, 0.0, sn_of)
-    best = ExtendedParams(k=k, theta=theta, a_coeffs=zeros, k_level=0.0)
+    theta, sn = _theta_stage(k, _make_sn(_series(xs), evaluations))
+    best = ExtendedParams(k=k, theta=theta, a_coeffs=(0.0,) * (k + 1), k_level=0.0)
     trace = (TuningStage(name="theta", params={"theta": theta}, sn=sn),)
     return TuningReport(
         best_params=best, best_sn=sn, evaluations=tuple(evaluations), trace=trace
@@ -238,144 +241,106 @@ def tune_filter0(xs: Sequence[float], k: int = 0) -> TuningReport:
 
 
 def tune_filter1(xs: Sequence[float]) -> TuningReport:
-    """Staged search for the one-coefficient level filter (k=0).
-
-    Stages: theta with a_1=K=0; K = sample mean of the observations;
-    a_1 on [0, n/10]; coordinate-descent polish of (theta, K, a_1).
-    """
-    x_arr = _series(xs)
-    n = int(x_arr.size)
-    evaluations: list = []
-    sn_of = _make_sn(x_arr, evaluations)
-
-    theta, sn1 = _theta_stage(x_arr, 0, (0.0,), 0.0, sn_of)
-    trace = [TuningStage(name="theta", params={"theta": theta}, sn=sn1)]
-
-    k_level = float(np.mean(x_arr))
-    sn2 = sn_of(ExtendedParams(k=0, theta=theta, a_coeffs=(0.0,), k_level=k_level))
-    trace.append(TuningStage(name="K", params={"theta": theta, "K": k_level}, sn=sn2))
-
-    # run() requires max(a) strictly below n/10, so the closed search box
-    # [0, n/10] is capped one ulp inside.
-    a_hi = math.nextafter(n / 10.0, 0.0)
-
-    def a_objective(a1: float) -> float:
-        return sn_of(ExtendedParams(k=0, theta=theta, a_coeffs=(a1,), k_level=k_level))
-
-    a1, sn3 = minimize_scalar(a_objective, 0.0, a_hi, _THETA_TOL)
-    trace.append(
-        TuningStage(name="a1", params={"theta": theta, "K": k_level, "a1": a1}, sn=sn3)
-    )
-
-    def make_params(pt: list[float]) -> ExtendedParams:
-        return ExtendedParams(k=0, theta=pt[0], a_coeffs=(pt[2],), k_level=pt[1])
-
-    bounds = [(_THETA_LO, _THETA_HI), (0.0, None), (0.0, a_hi)]
-    point, sn4 = _polish([theta, k_level, a1], bounds, make_params, sn_of, sn3)
-    best = make_params(point)
-    trace.append(
-        TuningStage(
-            name="polish",
-            params={"theta": point[0], "K": point[1], "a1": point[2]},
-            sn=sn4,
-        )
-    )
-    return TuningReport(
-        best_params=best, best_sn=sn4, evaluations=tuple(evaluations), trace=tuple(trace)
-    )
+    """Tune the one-coefficient level filter (k=0) in stages theta, K, a1, polish."""
+    return _tune_level(xs, 0)
 
 
 def tune_filter2(xs: Sequence[float]) -> TuningReport:
-    """Staged search for the two-coefficient level filter (k=1).
+    """Tune the two-coefficient level filter (k=1) in stages theta, K, a1_a2, polish."""
+    return _tune_level(xs, 1)
 
-    Stages: theta with a=K=0; K = sample mean; (a_1, a_2) on a coarse
-    positive grid refined by Nelder-Mead inside the stable region
-    (both coefficients positive, or both zero); coordinate-descent
-    polish of (theta, K, a_1, a_2).
+
+def _tune_level(xs: Sequence[float], k: int) -> TuningReport:
+    """Staged search for the level filter of order k, with k+1 coefficients a.
+
+    Stages: theta with a = K = 0; K = sample mean of the observations;
+    the relaxation coefficients a with theta and K fixed, inside [0, n/10)
+    (k=0: the scalar minimizer; k=1: _relax_pair); coordinate-descent
+    polish of (theta, K, a).  The stage of a is named after its
+    coefficients ("a1", "a1_a2").
     """
     x_arr = _series(xs)
     n = int(x_arr.size)
     evaluations: list = []
     sn_of = _make_sn(x_arr, evaluations)
+    names = ["theta", "K", *(f"a{m}" for m in range(1, k + 2))]
 
-    theta, sn1 = _theta_stage(x_arr, 1, (0.0, 0.0), 0.0, sn_of)
-    trace = [TuningStage(name="theta", params={"theta": theta}, sn=sn1)]
+    def make_params(pt: Sequence[float]) -> ExtendedParams:
+        return ExtendedParams(k=k, theta=pt[0], a_coeffs=tuple(pt[2:]), k_level=pt[1])
+
+    theta, sn = _theta_stage(k, sn_of)
+    trace = [TuningStage(name="theta", params={"theta": theta}, sn=sn)]
 
     k_level = float(np.mean(x_arr))
-    sn2 = sn_of(ExtendedParams(k=1, theta=theta, a_coeffs=(0.0, 0.0), k_level=k_level))
-    trace.append(TuningStage(name="K", params={"theta": theta, "K": k_level}, sn=sn2))
-
-    a_hi = math.nextafter(n / 10.0, 0.0)
-    axis = [float(v) for v in np.geomspace(n * 1e-4, a_hi, 6)]
-    best_pair = (0.0, 0.0)
-    sn3 = sn2  # the all-zero corner is exactly the stage-2 evaluation
-    for a1 in axis:
-        for a2 in axis:
-            value = sn_of(
-                ExtendedParams(k=1, theta=theta, a_coeffs=(a1, a2), k_level=k_level)
-            )
-            if value < sn3:
-                sn3, best_pair = value, (a1, a2)
-
-    if best_pair != (0.0, 0.0):
-
-        def nm_objective(ab) -> float:
-            nonlocal sn3, best_pair
-            a1, a2 = float(ab[0]), float(ab[1])
-            if not (0.0 < a1 <= a_hi and 0.0 < a2 <= a_hi):
-                excess = max(0.0, -a1) + max(0.0, -a2)
-                excess += max(0.0, a1 - a_hi) + max(0.0, a2 - a_hi)
-                return _PENALTY * (1.0 + excess)
-            value = sn_of(
-                ExtendedParams(k=1, theta=theta, a_coeffs=(a1, a2), k_level=k_level)
-            )
-            if value < sn3:
-                sn3, best_pair = value, (a1, a2)
-            return value
-
-        optimize.minimize(
-            nm_objective,
-            np.asarray(best_pair),
-            method="Nelder-Mead",
-            options={"xatol": 1e-8 * max(1.0, a_hi), "fatol": 1e-14, "maxiter": 400},
+    if abs(k_level) >= n:
+        raise TuningError(
+            f"level stage: sample mean {k_level!r} must stay below n = {n} in magnitude"
         )
+    sn = sn_of(make_params([theta, k_level, *(0.0,) * (k + 1)]))
+    trace.append(TuningStage(name="K", params={"theta": theta, "K": k_level}, sn=sn))
 
+    # run() requires |K| < n and max(a) < n/10: the boxes are capped one ulp inside.
+    k_hi, a_hi = math.nextafter(float(n), 0.0), math.nextafter(n / 10.0, 0.0)
+
+    def relaxed(a: tuple[float, ...]) -> float:
+        return sn_of(make_params([theta, k_level, *a]))
+
+    if k == 0:
+        a1, sn = minimize_scalar(lambda a1: relaxed((a1,)), 0.0, a_hi, _THETA_TOL)
+        a = (a1,)
+    else:
+        a, sn = _relax_pair(relaxed, n, a_hi, sn)
+    point = [theta, k_level, *a]
     trace.append(
-        TuningStage(
-            name="a1_a2",
-            params={
-                "theta": theta,
-                "K": k_level,
-                "a1": best_pair[0],
-                "a2": best_pair[1],
-            },
-            sn=sn3,
-        )
+        TuningStage(name="_".join(names[2:]), params=dict(zip(names, point)), sn=sn)
     )
 
-    def make_params(pt: list[float]) -> ExtendedParams:
-        return ExtendedParams(k=1, theta=pt[0], a_coeffs=(pt[2], pt[3]), k_level=pt[1])
-
-    bounds = [(_THETA_LO, _THETA_HI), (0.0, None), (0.0, a_hi), (0.0, a_hi)]
-    point, sn4 = _polish(
-        [theta, k_level, best_pair[0], best_pair[1]], bounds, make_params, sn_of, sn3
-    )
-    best = make_params(point)
-    trace.append(
-        TuningStage(
-            name="polish",
-            params={
-                "theta": point[0],
-                "K": point[1],
-                "a1": point[2],
-                "a2": point[3],
-            },
-            sn=sn4,
-        )
-    )
+    bounds = [(_THETA_LO, _THETA_HI), (0.0, k_hi), *[(0.0, a_hi)] * (k + 1)]
+    point, sn = _polish(point, bounds, make_params, sn_of, sn)
+    trace.append(TuningStage(name="polish", params=dict(zip(names, point)), sn=sn))
     return TuningReport(
-        best_params=best, best_sn=sn4, evaluations=tuple(evaluations), trace=tuple(trace)
+        best_params=make_params(point),
+        best_sn=sn,
+        evaluations=tuple(evaluations),
+        trace=tuple(trace),
     )
+
+
+def _relax_pair(
+    objective: Callable, n: int, a_hi: float, sn_zero: float
+) -> tuple[tuple[float, float], float]:
+    """(a_1, a_2) on a 6x6 positive grid, refined by Nelder-Mead in the box.
+
+    sn_zero is the S_n of the all-zero pair, already evaluated.  Both
+    coefficients stay positive, or both zero: the stable choices.
+    """
+    best, best_sn = (0.0, 0.0), sn_zero
+    axis = [float(v) for v in np.geomspace(n * 1e-4, a_hi, 6)]
+    for pair in itertools.product(axis, repeat=2):
+        value = objective(pair)
+        if value < best_sn:
+            best_sn, best = value, pair
+    if best == (0.0, 0.0):
+        return best, best_sn
+
+    def nm_objective(ab) -> float:
+        nonlocal best, best_sn
+        pair = (float(ab[0]), float(ab[1]))
+        if not all(0.0 < a <= a_hi for a in pair):
+            excess = sum(max(0.0, -a) + max(0.0, a - a_hi) for a in pair)
+            return _PENALTY * (1.0 + excess)
+        value = objective(pair)
+        if value < best_sn:
+            best_sn, best = value, pair
+        return value
+
+    optimize.minimize(
+        nm_objective,
+        np.asarray(best),
+        method="Nelder-Mead",
+        options={"xatol": 1e-8 * max(1.0, a_hi), "fatol": 1e-14, "maxiter": 400},
+    )
+    return best, best_sn
 
 
 def _solve_psd(mat: list[list[float]], vec: list[float]) -> list[float] | None:
@@ -511,8 +476,10 @@ def _solve_k_a(
     """
     basis = _garch_basis(x_arr, g, q)
     cols = basis[:, 1:]
-    gram = (cols.T @ cols).tolist()
-    rhs = (cols.T @ (x_arr - basis[:, 0])).tolist()
+    # Overflow leaves a singular system, solved as K = a = 0; its run scores inf.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = (cols.T @ cols).tolist()
+        rhs = (cols.T @ (x_arr - basis[:, 0])).tolist()
     g_sum = sum(g)
     k_const, *a = _capped_nnls(gram, rhs, 1.0 - g_sum)
     return k_const, _below_one(g_sum, a)
@@ -566,6 +533,9 @@ def fit_garch(xs: Sequence[float], p: int = 1, q: int = 1) -> TuningReport:
         if sum(g) <= 1.0
     ]
     grid_sn = [profiled(g)[1] for g in grid]
+    if not evaluations:
+        # g = 0 (no feedback) is on the grid: the series itself overflows
+        raise TuningError("no GARCH parameter set on the grid gives a finite S_n")
     # sorted is stable: equal values keep the grid order.
     starts = sorted(range(len(grid)), key=grid_sn.__getitem__)[:_GARCH_STARTS]
 
@@ -596,8 +566,6 @@ def fit_garch(xs: Sequence[float], p: int = 1, q: int = 1) -> TuningReport:
         trace.append(
             TuningStage(name=f"start{idx}", params=dict(zip(names, coeffs)), sn=value)
         )
-    if not evaluations:
-        raise TuningError("no feasible GARCH parameter set was evaluated")
     # min returns the first of equal minima: ties go to the earliest evaluation.
     best_params, best_sn = min(evaluations, key=lambda e: e[1])
     return TuningReport(

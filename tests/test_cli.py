@@ -367,6 +367,28 @@ class TestTune:
         assert doc["evaluations"]
         assert doc["best_sn"] == min(e["sn"] for e in doc["evaluations"])
 
+    def test_overflowing_series_exits_one(self, tmp_path, capsys):
+        # delta = 1e-300 scales the squared returns near 1e296, so every run
+        # overflows: a tuning error, not a report of a diverged filter
+        path = write_prices(tmp_path, count=80)
+        out = tmp_path / "report.json"
+        for kind in ("filter0", "filter1", "garch11"):
+            code = main(
+                [
+                    "tune",
+                    "--input", path,
+                    "--delta", "1e-300",
+                    "--filter", kind,
+                    "--out", str(out),
+                ]
+            )
+            assert code == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error:")
+            assert captured.err.count("\n") == 1
+        assert not out.exists()
+
     def test_garch_report_json(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path)
         out = tmp_path / "report.json"

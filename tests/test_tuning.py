@@ -1,7 +1,8 @@
 """Parameter search tests: scalar minimizer, staged tuners, GARCH fitting.
 
 Oracles: scalar problems with known minima, constant series where the
-objective vanishes identically, a noiseless self-consistent GARCH
+objective vanishes identically, series scaled until S_n exceeds any
+fixed penalty or overflows, a noiseless self-consistent GARCH
 recursion that a correct fit drives to zero, structural identities
 between stages that share their search path bit for bit, nesting of
 GARCH(1,1) in GARCH(2,2), and random feasible alternatives that the
@@ -73,6 +74,22 @@ class TestMinimizeScalar:
     def test_non_finite_objective_rejected(self):
         with pytest.raises(TuningError):
             minimize_scalar(lambda x: math.nan, 1.0, 5.0, 1e-6)
+
+    def test_minus_infinity_rejected(self):
+        with pytest.raises(TuningError):
+            minimize_scalar(lambda x: -math.inf, 1.0, 5.0, 1e-6)
+
+    def test_infinity_is_the_worst_value(self):
+        # a diverged region scores inf and the finite minimum still wins
+        x, f = minimize_scalar(
+            lambda x: math.inf if x < 2.0 else (x - 3.0) ** 2, 0.5, 10.0, 1e-6
+        )
+        assert abs(x - 3.0) < 1e-5
+        assert f < 1e-10
+
+    def test_all_infinite_returns_infinity(self):
+        _, f = minimize_scalar(lambda x: math.inf, 1.0, 5.0, 1e-6)
+        assert f == math.inf
 
     def test_bad_interval_rejected(self):
         with pytest.raises(ValueError):
@@ -172,6 +189,57 @@ class TestTuneFilter2:
         assert (a1 > 0.0 and a2 > 0.0) or (a1 == 0.0 and a2 == 0.0)
 
 
+def large_scale_series() -> np.ndarray:
+    """Three volatility levels times squared Gaussian noise, S_n near 1e14."""
+    rng = np.random.default_rng(3)
+    return 1e8 * np.repeat([0.05, 0.2, 0.1], 100) * rng.standard_normal(300) ** 2
+
+
+class TestDivergedRuns:
+    """A diverged run scores inf, whatever the scale of the series."""
+
+    def test_best_is_a_finite_run_on_a_large_scale(self):
+        xs = large_scale_series()
+        report = tune_filter0(xs)
+        assert math.isfinite(report.best_sn)
+        assert report.best_sn == run(xs, report.best_params).s_n
+
+    def test_level_stage_rejects_a_mean_of_n_or_more(self):
+        xs = large_scale_series()
+        for tuner in (tune_filter1, tune_filter2):
+            with pytest.raises(TuningError, match="sample mean"):
+                tuner(xs)
+
+    def test_overflowing_series_raises(self):
+        xs = 1e192 * large_scale_series()
+        for tuner in (tune_filter0, tune_filter1, tune_filter2, fit_garch):
+            with pytest.raises(TuningError):
+                tuner(xs)
+
+
+@st.composite
+def scaled_series(draw):
+    """A non-negative series of 50 to 150 points on a scale from 1e-6 to 1e8."""
+    size = draw(st.integers(50, 150))
+    scale = 10.0 ** draw(st.floats(-6.0, 8.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return scale * rng.standard_normal(size) ** 2
+
+
+@settings(derandomize=True, max_examples=15, deadline=None, database=None)
+@given(scaled_series(), st.sampled_from((tune_filter0, tune_filter1, tune_filter2)))
+def test_level_tuners_report_a_real_run_or_raise(xs, tuner):
+    try:
+        report = tuner(xs)
+    except TuningError:
+        return
+    assert math.isfinite(report.best_sn)
+    assert report.best_sn == min(value for _, value in report.evaluations)
+    assert report.best_sn == run(xs, report.best_params).s_n
+    sn = [stage.sn for stage in report.trace]
+    assert all(b <= a for a, b in zip(sn, sn[1:]))
+
+
 class TestFitGarch:
     def test_noiseless_recursion_fits_to_zero(self):
         # xs[i+1] = K + (g+a) xs[i] is reproduced exactly by any GARCH(1,1)
@@ -220,8 +288,7 @@ class TestFitGarch:
     def test_large_scale_series_keeps_the_search_feasible(self):
         # S_n near 1e14 is far above any fixed penalty: points with
         # g1 + g2 >= 1 must still rank below every feasible one.
-        rng = np.random.default_rng(3)
-        xs = 1e8 * np.repeat([0.05, 0.2, 0.1], 100) * rng.standard_normal(300) ** 2
+        xs = large_scale_series()
         report = fit_garch(xs)
         par = report.best_params
         assert sum(par.g_coeffs) + sum(par.a_coeffs) < 1.0
