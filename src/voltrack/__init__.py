@@ -7,137 +7,29 @@ alongside classical GARCH baselines.  Gains come from a matrix Riccati
 equation; a single scalar parameter theta is tuned by minimizing the
 observed one-step prediction error.  Simulation, tuning, experiment and
 benchmarking layers sit on top, plus a command-line interface.
+
+Each module's ``__all__`` is its public API, and the package re-exports
+all of it.
 """
 
-from .errors import (
-    DataError,
-    ScenarioError,
-    SolverError,
-    TuningError,
-    VoltrackError,
-)
-from .evaluation import (
-    BENCH_METHODS,
-    BenchReport,
-    ConvergenceResult,
-    OrderingResult,
-    bench_csv_text,
-    bench_json_text,
-    benchmark_report,
-    burn_in_index,
-    convergence_csv_text,
-    convergence_experiment,
-    convergence_json_text,
-    convergence_plot_text,
-    ordering_agreement,
-    ordering_csv_text,
-    ordering_json_text,
-    shift_sensitivity,
-    vn_metric,
-)
-from .filters import (
-    ExtendedParams,
-    FilterState,
-    GarchParams,
-    TrackResult,
-    init_state,
-    run,
-    step_adaptive,
-    step_garch,
-)
-from .gains import (
-    MAX_ORDER,
-    GainSchedule,
-    RiccatiSolution,
-    StabilityReport,
-    gain_schedule,
-    solve_care,
-    stability_report,
-)
-from .cli import PriceSeries, RunConfig, dispatch, load_prices, main
-from .simulate import (
-    FuncSpec,
-    NoiseDecomposition,
-    PathResult,
-    Scenario,
-    compute_heteroscedasticity,
-    decomposition_diagnostics,
-    format_scenario_config,
-    generate_path,
-    parse_scenario_config,
-    path_csv_text,
-)
-from .tuning import (
-    TuningReport,
-    TuningStage,
-    fit_garch,
-    minimize_scalar,
-    tune_filter0,
-    tune_filter1,
-    tune_filter2,
-)
+from . import cli, errors, evaluation, filters, gains, simulate, tuning
+from .cli import *
+from .errors import *
+from .evaluation import *
+from .filters import *
+from .gains import *
+from .simulate import *
+from .tuning import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "VoltrackError",
-    "DataError",
-    "SolverError",
-    "ScenarioError",
-    "TuningError",
-    "MAX_ORDER",
-    "RiccatiSolution",
-    "GainSchedule",
-    "StabilityReport",
-    "solve_care",
-    "gain_schedule",
-    "stability_report",
-    "FilterState",
-    "ExtendedParams",
-    "GarchParams",
-    "TrackResult",
-    "init_state",
-    "step_adaptive",
-    "step_garch",
-    "run",
-    "TuningStage",
-    "TuningReport",
-    "minimize_scalar",
-    "tune_filter0",
-    "tune_filter1",
-    "tune_filter2",
-    "fit_garch",
-    "FuncSpec",
-    "Scenario",
-    "PathResult",
-    "NoiseDecomposition",
-    "generate_path",
-    "compute_heteroscedasticity",
-    "decomposition_diagnostics",
-    "parse_scenario_config",
-    "format_scenario_config",
-    "path_csv_text",
-    "ConvergenceResult",
-    "OrderingResult",
-    "BenchReport",
-    "BENCH_METHODS",
-    "burn_in_index",
-    "vn_metric",
-    "convergence_experiment",
-    "ordering_agreement",
-    "shift_sensitivity",
-    "benchmark_report",
-    "convergence_csv_text",
-    "convergence_json_text",
-    "convergence_plot_text",
-    "ordering_csv_text",
-    "ordering_json_text",
-    "bench_csv_text",
-    "bench_json_text",
-    "PriceSeries",
-    "RunConfig",
-    "load_prices",
-    "dispatch",
-    "main",
+    *errors.__all__,
+    *gains.__all__,
+    *filters.__all__,
+    *tuning.__all__,
+    *simulate.__all__,
+    *evaluation.__all__,
+    *cli.__all__,
 ]

@@ -155,13 +155,29 @@ def load_prices(path, delta: float, name: str | None = None) -> PriceSeries:
         raise ValueError(f"delta must be positive and finite, got {delta}")
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
-            rows = list(csv.reader(handle))
+            labels, prices = _read_price_rows(path, csv.reader(handle))
     except csv.Error as exc:
         raise DataError(f"{path}: malformed CSV: {exc}") from exc
-    rows = [row for row in rows if row]
-    if not rows:
+    if len(prices) < 2:
+        raise DataError(f"{path}: need at least 2 prices, got {len(prices)}")
+    arr = np.asarray(prices)
+    arr.setflags(write=False)
+    return PriceSeries(
+        name=name if name is not None else Path(path).stem,
+        timestamps=labels,
+        prices=arr,
+        delta=delta,
+    )
+
+
+def _read_price_rows(path, reader) -> tuple[tuple[str, ...] | None, list[float]]:
+    """The labels (None for a single-column file) and prices of the rows
+    after the header; blank rows are skipped, and errors name the line
+    the reader is on."""
+    rows = filter(None, reader)
+    header = next(rows, None)
+    if header is None:
         raise DataError(f"{path}: empty file")
-    header = rows[0]
     if all(_is_number(cell) for cell in header):
         raise DataError(f"{path}: header row required, got numeric first row")
     if len(header) == 1:
@@ -177,31 +193,23 @@ def load_prices(path, delta: float, name: str | None = None) -> PriceSeries:
                 break
     prices = []
     labels = []
-    for line_no, row in enumerate(rows[1:], start=2):
+    for row in rows:
         if len(row) != len(header):
             raise DataError(
-                f"{path}: line {line_no}: expected {len(header)} columns, got {len(row)}"
+                f"{path}: line {reader.line_num}: expected {len(header)} columns, "
+                f"got {len(row)}"
             )
         cell = row[price_col].strip()
         try:
             value = float(cell)
         except ValueError as exc:
-            raise DataError(f"{path}: line {line_no}: bad price {cell!r}") from exc
+            raise DataError(f"{path}: line {reader.line_num}: bad price {cell!r}") from exc
         if not (math.isfinite(value) and value > 0.0):
-            raise DataError(f"{path}: line {line_no}: non-positive price {cell}")
+            raise DataError(f"{path}: line {reader.line_num}: non-positive price {cell}")
         prices.append(value)
         if label_col is not None:
             labels.append(row[label_col].strip())
-    if len(prices) < 2:
-        raise DataError(f"{path}: need at least 2 prices, got {len(prices)}")
-    arr = np.asarray(prices)
-    arr.setflags(write=False)
-    return PriceSeries(
-        name=name if name is not None else Path(path).stem,
-        timestamps=tuple(labels) if label_col is not None else None,
-        prices=arr,
-        delta=delta,
-    )
+    return (tuple(labels) if label_col is not None else None), prices
 
 
 def _is_number(text: str) -> bool:
@@ -240,7 +248,7 @@ def _load_xs(args) -> np.ndarray:
             raise ValueError("--scenario requires --n")
         scenario = parse_scenario_config(_read_text(args.scenario))
         return generate_path(scenario, args.n, args.seed).xs
-    series = load_prices(args.input, args.delta, args.name)
+    series = load_prices(args.input, args.delta)
     return compute_heteroscedasticity(series.prices, series.delta)
 
 
@@ -382,7 +390,6 @@ def _add_series_source(parser: argparse.ArgumentParser) -> None:
         default=DEFAULT_DELTA,
         help="sampling interval in years (default 1/252)",
     )
-    parser.add_argument("--name", help="series name override")
     parser.add_argument("--scenario", help="scenario config for a simulated series")
     parser.add_argument("--n", type=int, help="sample size for --scenario")
     parser.add_argument("--seed", type=int, default=0, help="RNG seed for --scenario")

@@ -17,11 +17,15 @@ def float_repr(x: float) -> str:
 
 def atomic_write_text(path: str, text: str) -> None:
     """Write text through a temp file and rename, so a reader never sees
-    a partially written file."""
+    a partially written file.  The file gets the mode a plain open()
+    would give it (0o666 less the umask), not mkstemp's 0o600."""
     target = os.path.abspath(path)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".tmp-")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, target)
     except BaseException:

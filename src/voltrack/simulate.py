@@ -176,15 +176,21 @@ class NoiseDecomposition:
 
 
 def _interval_means(
-    spec: FuncSpec, horizon: float, n: int, require_positive: bool = False
+    spec: FuncSpec,
+    horizon: float,
+    n: int,
+    require_positive: bool = False,
+    count: int | None = None,
 ) -> np.ndarray:
-    """Per-interval averages (1/delta) int f dt by composite Simpson."""
+    """Per-interval averages (1/delta) int f dt by composite Simpson, over
+    the first `count` (default all n) of the n intervals."""
     delta = horizon / n
     h = delta / _QUAD_PANELS
     offsets = np.arange(_QUAD_PANELS + 1) * h
-    out = np.empty(n)
-    for start in range(0, n, _QUAD_BLOCK):
-        stop = min(n, start + _QUAD_BLOCK)
+    count = n if count is None else count
+    out = np.empty(count)
+    for start in range(0, count, _QUAD_BLOCK):
+        stop = min(count, start + _QUAD_BLOCK)
         t0 = np.arange(start, stop, dtype=float) * delta
         nodes = t0[:, None] + offsets[None, :]
         y = spec.values(nodes)
@@ -244,7 +250,7 @@ def decomposition_diagnostics(scenario: Scenario, path: PathResult) -> NoiseDeco
     n = path.v_bar.size
     # cheap spot check that the path really matches the scenario
     m = min(n, 64)
-    v_check = _interval_means(scenario.v_spec, scenario.horizon_t, n)[:m]
+    v_check = _interval_means(scenario.v_spec, scenario.horizon_t, n, count=m)
     if not np.allclose(v_check, path.v_bar[:m], rtol=1e-10, atol=0.0):
         raise ValueError("path was not generated from this scenario")
     swing = 2.0 * path.mu_bar - path.v_bar

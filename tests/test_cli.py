@@ -8,6 +8,9 @@ files against the in-memory API on the same inputs.
 import json
 import math
 import os
+import re
+import shlex
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -114,6 +117,18 @@ class TestLoadPrices:
         with pytest.raises(DataError, match="expected 2 columns"):
             load_prices(str(path), DEFAULT_DELTA)
 
+    def test_blank_lines_keep_line_numbers(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("price\n100\n\n101\n-5\n")
+        with pytest.raises(DataError, match="line 5: non-positive price -5"):
+            load_prices(str(path), DEFAULT_DELTA)
+
+    def test_ragged_row_after_blank_line_names_its_line(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("day,price\n1,100\n\n2,101\n3\n")
+        with pytest.raises(DataError, match="line 5: expected 2 columns"):
+            load_prices(str(path), DEFAULT_DELTA)
+
     def test_too_few_prices_rejected(self, tmp_path):
         path = tmp_path / "one.csv"
         path.write_text("price\n50.0\n")
@@ -215,6 +230,22 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert dispatch(["--help"]) == 0
         assert "track" in capsys.readouterr().out
+
+    def test_name_option_is_gone(self, tmp_path, capsys):
+        path = write_prices(tmp_path)
+        code = dispatch(
+            [
+                "track",
+                "--input", path,
+                "--name", "x",
+                "--filter", "filter0",
+                "--theta", "0.5",
+                "--out", str(tmp_path / "est.csv"),
+            ]
+        )
+        assert code == 2
+        assert "--name" in capsys.readouterr().err
+        assert not (tmp_path / "est.csv").exists()
 
     def test_data_errors_exit_one(self, tmp_path, capsys):
         code = dispatch(
@@ -481,6 +512,20 @@ class TestSimulate:
         printed = capsys.readouterr().out
         assert "delta = " in printed
 
+    def test_output_mode_follows_umask(self, tmp_path, capsys):
+        scenario = write_scenario(tmp_path)
+        out = tmp_path / "path.csv"
+        old_umask = os.umask(0o022)
+        try:
+            code = dispatch(
+                ["simulate", "--scenario", scenario, "--n", "50", "--out", str(out)]
+            )
+        finally:
+            os.umask(old_umask)
+        assert code == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o644
+        capsys.readouterr()
+
     def test_track_consumes_simulated_csv_exactly(self, tmp_path, capsys):
         # The path CSV doubles as a price CSV (price in column two), and
         # shortest-repr formatting makes the round trip exact.
@@ -640,3 +685,30 @@ class TestModuleEntry:
         assert proc.returncode == 0
         assert proc.stderr == ""
         assert proc.stdout.startswith("usage: voltrack")
+
+
+def readme_commands() -> list[str]:
+    """Every `voltrack ...` command in the README's sh blocks, with
+    backslash continuations joined."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme.read_text(), re.M | re.S)
+    commands = []
+    for block in blocks:
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("voltrack "):
+                commands.append(line)
+    return commands
+
+
+class TestReadmeCommands:
+    def test_every_documented_command_parses(self):
+        commands = readme_commands()
+        parser = build_parser()
+        for command in commands:
+            argv = shlex.split(command, comments=True)[1:]
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {command}")
+        documented = {shlex.split(command)[1] for command in commands}
+        assert documented == {"track", "tune", "simulate", "bench", "convergence", "ordering"}
