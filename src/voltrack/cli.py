@@ -1,10 +1,12 @@
 """Command-line interface: ingest prices, run and tune filters, experiment.
 
-Subcommands: track, tune, simulate, bench, convergence, ordering.  Every
-output file is written atomically and uses shortest round-tripping float
-formatting, so a fixed seed gives byte-identical files across runs and a
-simulate -> track pipeline reproduces in-memory results exactly.  Bare
-output filenames are redirected into $VOLTRACK_OUT_DIR when it is set.
+Subcommands, all run through ``main``: track, tune, simulate, bench,
+convergence, ordering.  A price CSV's label column is skipped, not
+stored.  Every output file is written atomically and uses shortest
+round-tripping float formatting, so a fixed seed gives byte-identical
+files across runs and a simulate -> track pipeline reproduces in-memory
+results exactly.  Bare output filenames are redirected into
+$VOLTRACK_OUT_DIR when it is set.
 
 Exit codes: 0 on success, 2 on usage errors (unknown subcommand or
 flag), 1 on data, scenario or tuning errors with a one-line diagnostic
@@ -19,6 +21,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -48,7 +51,7 @@ from .simulate import (
     path_csv_text,
 )
 
-__all__ = ["PriceSeries", "RunConfig", "load_prices", "dispatch", "main"]
+__all__ = ["PriceSeries", "RunConfig", "load_prices", "main"]
 
 DEFAULT_DELTA = 1.0 / 252.0
 
@@ -59,10 +62,8 @@ _PRICE_HEADERS = ("price", "adjclose", "adj_close", "close")
 
 @dataclass(frozen=True)
 class PriceSeries:
-    """A named positive price series with its sampling interval in years."""
+    """A positive price series with its sampling interval in years."""
 
-    name: str
-    timestamps: tuple[str, ...] | None
     prices: np.ndarray
     delta: float
 
@@ -73,8 +74,6 @@ class PriceSeries:
             raise ValueError("prices must be positive and finite")
         if not (math.isfinite(self.delta) and self.delta > 0.0):
             raise ValueError(f"delta must be positive and finite, got {self.delta}")
-        if self.timestamps is not None and len(self.timestamps) != self.prices.size:
-            raise ValueError("timestamps must match prices in length")
 
 
 @dataclass(frozen=True)
@@ -143,56 +142,39 @@ class RunConfig:
         return ExtendedParams(k=k, theta=self.theta, a_coeffs=a, k_level=level)
 
 
-def load_prices(path, delta: float, name: str | None = None) -> PriceSeries:
+def load_prices(path, delta: float) -> PriceSeries:
     """Read a price CSV: a header row, then one price per row.
 
     Single-column files hold bare prices; multi-column files carry
-    labels (dates) in the first column and the price in a column named
-    price/adjclose/adj_close/close (case-insensitive), falling back to
-    the second column.
+    labels (dates) in the first column, which is skipped, and the price
+    in a column named price/adjclose/adj_close/close (case-insensitive),
+    falling back to the second column.
     """
-    if not (math.isfinite(delta) and delta > 0.0):
-        raise ValueError(f"delta must be positive and finite, got {delta}")
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
-            labels, prices = _read_price_rows(path, csv.reader(handle))
+            prices = _read_price_rows(path, csv.reader(handle))
     except csv.Error as exc:
         raise DataError(f"{path}: malformed CSV: {exc}") from exc
     if len(prices) < 2:
         raise DataError(f"{path}: need at least 2 prices, got {len(prices)}")
     arr = np.asarray(prices)
     arr.setflags(write=False)
-    return PriceSeries(
-        name=name if name is not None else Path(path).stem,
-        timestamps=labels,
-        prices=arr,
-        delta=delta,
-    )
+    return PriceSeries(arr, delta)
 
 
-def _read_price_rows(path, reader) -> tuple[tuple[str, ...] | None, list[float]]:
-    """The labels (None for a single-column file) and prices of the rows
-    after the header; blank rows are skipped, and errors name the line
-    the reader is on."""
+def _read_price_rows(path, reader) -> list[float]:
+    """The prices of the rows after the header; blank rows are skipped,
+    and errors name the line the reader is on."""
     rows = filter(None, reader)
     header = next(rows, None)
     if header is None:
         raise DataError(f"{path}: empty file")
     if all(_is_number(cell) for cell in header):
         raise DataError(f"{path}: header row required, got numeric first row")
-    if len(header) == 1:
-        label_col = None
-        price_col = 0
-    else:
-        label_col = 0
-        names = [cell.strip().lower() for cell in header]
-        price_col = 1
-        for candidate in _PRICE_HEADERS:
-            if candidate in names:
-                price_col = names.index(candidate)
-                break
+    names = [cell.strip().lower() for cell in header]
+    known = [names.index(h) for h in _PRICE_HEADERS if h in names]
+    price_col = known[0] if known else min(1, len(header) - 1)
     prices = []
-    labels = []
     for row in rows:
         if len(row) != len(header):
             raise DataError(
@@ -207,9 +189,7 @@ def _read_price_rows(path, reader) -> tuple[tuple[str, ...] | None, list[float]]
         if not (math.isfinite(value) and value > 0.0):
             raise DataError(f"{path}: line {reader.line_num}: non-positive price {cell}")
         prices.append(value)
-        if label_col is not None:
-            labels.append(row[label_col].strip())
-    return (tuple(labels) if label_col is not None else None), prices
+    return prices
 
 
 def _is_number(text: str) -> bool:
@@ -220,18 +200,17 @@ def _is_number(text: str) -> bool:
     return True
 
 
-def _float_list(text: str) -> tuple[float, ...]:
+def _number_list(kind: type, text: str) -> tuple:
+    """A comma-separated list of int or float values, as an argparse type."""
     try:
-        return tuple(float(p) for p in text.split(","))
+        return tuple(kind(p) for p in text.split(","))
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad number list {text!r}") from exc
+        noun = "integer" if kind is int else "number"
+        raise argparse.ArgumentTypeError(f"bad {noun} list {text!r}") from exc
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(p) for p in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from exc
+_float_list = partial(_number_list, float)
+_int_list = partial(_number_list, int)
 
 
 def _read_text(path) -> str:
@@ -243,13 +222,16 @@ def _load_xs(args) -> np.ndarray:
     """Observation series from either a price CSV or a simulated path."""
     if (args.input is None) == (args.scenario is None):
         raise ValueError("give exactly one of --input or --scenario")
-    if args.scenario is not None:
-        if args.n is None:
-            raise ValueError("--scenario requires --n")
-        scenario = parse_scenario_config(_read_text(args.scenario))
-        return generate_path(scenario, args.n, args.seed).xs
-    series = load_prices(args.input, args.delta)
-    return compute_heteroscedasticity(series.prices, series.delta)
+    if args.input is not None:
+        for flag in ("n", "seed"):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"--{flag} does not apply to --input")
+        series = load_prices(args.input, args.delta)
+        return compute_heteroscedasticity(series.prices, series.delta)
+    if args.n is None:
+        raise ValueError("--scenario requires --n")
+    scenario = parse_scenario_config(_read_text(args.scenario))
+    return generate_path(scenario, args.n, 0 if args.seed is None else args.seed).xs
 
 
 def _params_doc(params) -> dict:
@@ -280,15 +262,8 @@ def _write(path, text: str) -> None:
 
 def _cmd_track(args) -> int:
     xs = _load_xs(args)
-    config = RunConfig(
-        kind=args.filter,
-        k=args.k,
-        tune=args.tune,
-        theta=args.theta,
-        a_coeffs=args.a,
-        level=args.level,
-        g_coeffs=args.g,
-    )
+    explicit = {field: getattr(args, flag) for flag, field in _FLAG_FIELDS.items()}
+    config = RunConfig(kind=args.filter, k=args.k, tune=args.tune, **explicit)
     if config.tune:
         params = METHODS[config.kind].tune(xs, config.k).best_params
     else:
@@ -326,10 +301,10 @@ def _cmd_bench(args) -> int:
     series_set = {}
     for input_path in args.input:
         series = load_prices(input_path, args.delta)
-        name = series.name
+        name = stem = Path(input_path).stem
         suffix = 2
         while name in series_set:
-            name = f"{series.name}-{suffix}"
+            name = f"{stem}-{suffix}"
             suffix += 1
         series_set[name] = compute_heteroscedasticity(series.prices, series.delta)
     report = benchmark_report(series_set)
@@ -382,17 +357,22 @@ def _cmd_ordering(args) -> int:
     return 0
 
 
-def _add_series_source(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--input", help="price CSV (header row required)")
+def _add_prices(parser: argparse.ArgumentParser, **input_kwargs) -> None:
+    parser.add_argument("--input", **input_kwargs)
     parser.add_argument(
         "--delta",
         type=float,
         default=DEFAULT_DELTA,
         help="sampling interval in years (default 1/252)",
     )
+
+
+def _add_series_source(parser: argparse.ArgumentParser) -> None:
+    _add_prices(parser, help="price CSV (header row required)")
     parser.add_argument("--scenario", help="scenario config for a simulated series")
     parser.add_argument("--n", type=int, help="sample size for --scenario")
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed for --scenario")
+    # None, not 0, so that _load_xs can reject --seed with --input
+    parser.add_argument("--seed", type=int, help="RNG seed for --scenario")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -429,13 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.set_defaults(func=_cmd_simulate)
 
     bench = sub.add_parser("bench", help="tabulate tuned S_n per series and method")
-    bench.add_argument("--input", nargs="+", required=True, help="price CSV files")
-    bench.add_argument(
-        "--delta",
-        type=float,
-        default=DEFAULT_DELTA,
-        help="sampling interval in years (default 1/252)",
-    )
+    _add_prices(bench, nargs="+", required=True, help="price CSV files")
     bench.add_argument("--out", required=True, help="bench CSV output")
     bench.add_argument("--json-out", help="bench JSON output (default: out with .json)")
     bench.set_defaults(func=_cmd_bench)
@@ -469,11 +443,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def dispatch(argv: Sequence[str]) -> int:
-    """Parse argv and run the selected subcommand; returns the exit code."""
-    parser = build_parser()
+def main(argv: Sequence[str] | None = None) -> int:
+    """Run the subcommand argv names (default sys.argv[1:]); return the exit code."""
     try:
-        args = parser.parse_args(list(argv))
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
@@ -481,10 +454,6 @@ def dispatch(argv: Sequence[str]) -> int:
     except (VoltrackError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    return dispatch(sys.argv[1:] if argv is None else argv)
 
 
 if __name__ == "__main__":

@@ -281,6 +281,8 @@ def step_adaptive(
     k = ext.k
     if schedule.k != k or len(state.derivatives) != k:
         raise ValueError("smoothness order mismatch between state, schedule and params")
+    if schedule.theta != ext.theta:
+        raise ValueError(f"schedule theta {schedule.theta} differs from theta {ext.theta}")
     if not math.isfinite(x):
         raise DataError(f"non-finite observation {x!r}")
     z, est, res = [state.v_hat, *state.derivatives], [0.0], [0.0]

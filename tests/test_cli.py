@@ -26,7 +26,7 @@ from voltrack import (
     load_prices,
     main,
 )
-from voltrack.cli import DEFAULT_DELTA, PriceSeries, RunConfig, build_parser, dispatch
+from voltrack.cli import DEFAULT_DELTA, PriceSeries, RunConfig, build_parser
 from voltrack.evaluation import BENCH_METHODS, METHODS
 
 SCENARIO_TEXT = """\
@@ -62,17 +62,15 @@ class TestLoadPrices:
     def test_single_column(self, tmp_path):
         path = write_prices(tmp_path)
         series = load_prices(path, DEFAULT_DELTA)
-        assert series.name == "prices"
-        assert series.timestamps is None
         assert series.prices.size == 60
+        assert series.prices[0] == float(Path(path).read_text().split()[1])
         assert series.delta == DEFAULT_DELTA
 
     def test_two_column_with_labels(self, tmp_path):
-        path = write_prices(tmp_path, two_column=True)
-        series = load_prices(path, DEFAULT_DELTA, name="ibmish")
-        assert series.name == "ibmish"
-        assert len(series.timestamps) == 60
-        assert series.timestamps[0] == "2024-01-01"
+        # the date labels are skipped: same prices as the single-column file
+        series = load_prices(write_prices(tmp_path, two_column=True), DEFAULT_DELTA)
+        bare = load_prices(write_prices(tmp_path, name="bare.csv"), DEFAULT_DELTA)
+        assert series.prices.tolist() == bare.prices.tolist()
 
     def test_price_column_found_by_header(self, tmp_path):
         path = tmp_path / "wide.csv"
@@ -154,15 +152,13 @@ class TestLoadPrices:
 class TestPriceSeries:
     def test_validation(self):
         good = np.array([50.0, 51.0])
-        PriceSeries(name="x", timestamps=None, prices=good, delta=DEFAULT_DELTA)
+        PriceSeries(prices=good, delta=DEFAULT_DELTA)
         with pytest.raises(ValueError):
-            PriceSeries(name="x", timestamps=None, prices=np.array([50.0]), delta=DEFAULT_DELTA)
+            PriceSeries(prices=np.array([50.0]), delta=DEFAULT_DELTA)
         with pytest.raises(ValueError):
-            PriceSeries(name="x", timestamps=None, prices=np.array([50.0, -1.0]), delta=DEFAULT_DELTA)
+            PriceSeries(prices=np.array([50.0, -1.0]), delta=DEFAULT_DELTA)
         with pytest.raises(ValueError):
-            PriceSeries(name="x", timestamps=None, prices=good, delta=0.0)
-        with pytest.raises(ValueError):
-            PriceSeries(name="x", timestamps=("a",), prices=good, delta=DEFAULT_DELTA)
+            PriceSeries(prices=good, delta=0.0)
 
 
 class TestRunConfig:
@@ -223,17 +219,17 @@ class TestRunConfig:
 
 class TestExitCodes:
     def test_usage_errors_exit_two(self, capsys):
-        assert dispatch(["no-such-command"]) == 2
-        assert dispatch(["track"]) == 2
+        assert main(["no-such-command"]) == 2
+        assert main(["track"]) == 2
         capsys.readouterr()
 
     def test_help_exits_zero(self, capsys):
-        assert dispatch(["--help"]) == 0
+        assert main(["--help"]) == 0
         assert "track" in capsys.readouterr().out
 
     def test_name_option_is_gone(self, tmp_path, capsys):
         path = write_prices(tmp_path)
-        code = dispatch(
+        code = main(
             [
                 "track",
                 "--input", path,
@@ -248,7 +244,7 @@ class TestExitCodes:
         assert not (tmp_path / "est.csv").exists()
 
     def test_data_errors_exit_one(self, tmp_path, capsys):
-        code = dispatch(
+        code = main(
             [
                 "track",
                 "--input", str(tmp_path / "missing.csv"),
@@ -264,7 +260,7 @@ class TestExitCodes:
 
     def test_conflicting_flags_exit_one(self, tmp_path, capsys):
         path = write_prices(tmp_path)
-        code = dispatch(
+        code = main(
             [
                 "track",
                 "--input", path,
@@ -280,7 +276,7 @@ class TestExitCodes:
     def test_input_and_scenario_exclusive(self, tmp_path, capsys):
         path = write_prices(tmp_path)
         scenario = write_scenario(tmp_path)
-        code = dispatch(
+        code = main(
             [
                 "track",
                 "--input", path,
@@ -293,6 +289,24 @@ class TestExitCodes:
         )
         assert code == 1
         assert "exactly one" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["track", "tune"])
+    @pytest.mark.parametrize("flag", ["--n", "--seed"])
+    def test_scenario_flags_rejected_with_input(self, command, flag, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(
+            [
+                command,
+                "--input", write_prices(tmp_path),
+                flag, "10",
+                "--filter", "filter0",
+                *(["--theta", "0.5"] if command == "track" else []),
+                "--out", str(out),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {flag} does not apply to --input\n"
+        assert not out.exists()
 
 
 class TestTrack:
@@ -517,7 +531,7 @@ class TestSimulate:
         out = tmp_path / "path.csv"
         old_umask = os.umask(0o022)
         try:
-            code = dispatch(
+            code = main(
                 ["simulate", "--scenario", scenario, "--n", "50", "--out", str(out)]
             )
         finally:
@@ -637,7 +651,7 @@ class TestOrdering:
 
     def test_bad_theta_grid_is_usage_error(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path)
-        code = dispatch(
+        code = main(
             [
                 "ordering",
                 "--scenario", scenario,

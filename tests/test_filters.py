@@ -204,6 +204,13 @@ class TestStepAdaptive:
         with pytest.raises(ValueError):
             step_adaptive(FilterState(v_hat=0.1, derivatives=(0.0,)), 0.2, sch, ext)
 
+    def test_theta_mismatch_rejected(self):
+        # the gains come from the schedule, so a schedule built for another
+        # theta would silently override ext.theta
+        ext = ExtendedParams(k=0, theta=0.8, a_coeffs=(0.0,), k_level=0.0)
+        with pytest.raises(ValueError, match="theta"):
+            step_adaptive(FilterState(v_hat=0.1), 0.2, gain_schedule(0, 50.0, 1000), ext)
+
     def test_non_finite_observation_rejected(self):
         sch = gain_schedule(0, 1.0, 1000)
         ext = ExtendedParams(k=0, theta=1.0, a_coeffs=(0.0,), k_level=0.0)

@@ -6,6 +6,10 @@ any error, so the lists must be disjoint.
 """
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import voltrack
 
@@ -30,3 +34,16 @@ def test_package_reexports_every_module_list():
     for module in MODULES:
         for name in module.__all__:
             assert getattr(voltrack, name) is getattr(module, name)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is imported only inside ordering_agreement, because it
+    # dominates the import time of every command that does not use it
+    code = "import sys, voltrack; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
