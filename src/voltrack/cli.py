@@ -218,6 +218,11 @@ def _read_text(path) -> str:
         return handle.read()
 
 
+def _delta(args) -> float:
+    # None, not DEFAULT_DELTA, so that _load_xs can reject --delta with --scenario
+    return DEFAULT_DELTA if args.delta is None else args.delta
+
+
 def _load_xs(args) -> np.ndarray:
     """Observation series from either a price CSV or a simulated path."""
     if (args.input is None) == (args.scenario is None):
@@ -226,8 +231,10 @@ def _load_xs(args) -> np.ndarray:
         for flag in ("n", "seed"):
             if getattr(args, flag) is not None:
                 raise ValueError(f"--{flag} does not apply to --input")
-        series = load_prices(args.input, args.delta)
+        series = load_prices(args.input, _delta(args))
         return compute_heteroscedasticity(series.prices, series.delta)
+    if args.delta is not None:
+        raise ValueError("--delta does not apply to --scenario")
     if args.n is None:
         raise ValueError("--scenario requires --n")
     scenario = parse_scenario_config(_read_text(args.scenario))
@@ -298,9 +305,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    delta = _delta(args)
     series_set = {}
     for input_path in args.input:
-        series = load_prices(input_path, args.delta)
+        series = load_prices(input_path, delta)
         name = stem = Path(input_path).stem
         suffix = 2
         while name in series_set:
@@ -310,7 +318,7 @@ def _cmd_bench(args) -> int:
     report = benchmark_report(series_set)
     _write(args.out, bench_csv_text(report))
     doc = json.loads(bench_json_text(report))
-    doc["delta"] = args.delta
+    doc["delta"] = delta
     json_out = args.json_out if args.json_out else str(Path(args.out).with_suffix(".json"))
     _write(json_out, json.dumps(doc, indent=2) + "\n")
     return 0
@@ -362,7 +370,6 @@ def _add_prices(parser: argparse.ArgumentParser, **input_kwargs) -> None:
     parser.add_argument(
         "--delta",
         type=float,
-        default=DEFAULT_DELTA,
         help="sampling interval in years (default 1/252)",
     )
 

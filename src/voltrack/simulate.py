@@ -289,6 +289,10 @@ def format_scenario_config(scenario: Scenario) -> str:
 
 
 def _floats(text: str, key: str) -> tuple[float, ...]:
+    # format_scenario_config writes an empty list (the breakpoints of a
+    # one-level regime_switch) as an empty value
+    if not text:
+        return ()
     try:
         return tuple(float(piece) for piece in text.split(","))
     except ValueError as exc:

@@ -13,18 +13,25 @@ import shlex
 import stat
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voltrack import (
     DataError,
     ExtendedParams,
+    FuncSpec,
     GarchParams,
+    Scenario,
     compute_heteroscedasticity,
+    generate_path,
     load_prices,
     main,
+    path_csv_text,
 )
 from voltrack.cli import DEFAULT_DELTA, PriceSeries, RunConfig, build_parser
 from voltrack.evaluation import BENCH_METHODS, METHODS
@@ -59,6 +66,26 @@ def write_prices(tmp_path, name="prices.csv", count=60, two_column=False, seed=9
 
 
 class TestLoadPrices:
+    @settings(derandomize=True, max_examples=30, deadline=None, database=None)
+    @given(
+        st.integers(2, 400),
+        st.integers(0, 2**32 - 1),
+        st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False),
+    )
+    def test_path_csv_gives_back_the_prices(self, n, seed, horizon):
+        # simulate output doubles as a price CSV: the price column round-trips
+        scen = Scenario(
+            mu_spec=FuncSpec("constant", (0.05,)),
+            v_spec=FuncSpec("sinusoid", (0.1, 0.05, 1.0, 0.0)),
+            horizon_t=horizon,
+        )
+        path = generate_path(scen, n, seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            csv_path = Path(tmp, "path.csv")
+            csv_path.write_text(path_csv_text(path))
+            series = load_prices(csv_path, path.delta)
+        assert series.prices.tobytes() == np.asarray(path.prices, dtype=float).tobytes()
+
     def test_single_column(self, tmp_path):
         path = write_prices(tmp_path)
         series = load_prices(path, DEFAULT_DELTA)
@@ -306,6 +333,25 @@ class TestExitCodes:
         )
         assert code == 1
         assert capsys.readouterr().err == f"error: {flag} does not apply to --input\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["track", "tune"])
+    def test_delta_rejected_with_scenario(self, command, tmp_path, capsys):
+        # a simulated path has its own interval T/n; --delta would be ignored
+        out = tmp_path / "out"
+        code = main(
+            [
+                command,
+                "--scenario", write_scenario(tmp_path),
+                "--n", "300",
+                "--delta", "0.5",
+                "--filter", "filter0",
+                *(["--theta", "1"] if command == "track" else []),
+                "--out", str(out),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: --delta does not apply to --scenario\n"
         assert not out.exists()
 
 
@@ -590,6 +636,14 @@ class TestBench:
         assert doc["schema_version"] == 1
         assert doc["delta"] == 0.004
         assert {row["name"] for row in doc["rows"]} == {"prices", "prices-2"}
+        capsys.readouterr()
+
+    def test_default_delta(self, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        path = write_prices(tmp_path, count=120)
+        assert main(["bench", "--input", path, "--out", str(out)]) == 0
+        doc = json.loads((tmp_path / "bench.json").read_text())
+        assert doc["delta"] == DEFAULT_DELTA
         capsys.readouterr()
 
 

@@ -7,6 +7,7 @@ properties over randomly drawn parameters.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,10 +23,11 @@ from voltrack import (
     gain_schedule,
     init_state,
     run,
+    run_many,
     step_adaptive,
     step_garch,
 )
-from voltrack.filters import _garch_basis, _warmup_count
+from voltrack.filters import _MIN_LANES, _garch_basis, _warmup_count
 
 
 def stable_a(k: int) -> tuple[float, ...]:
@@ -239,6 +241,52 @@ class TestStepAdaptive:
             assert st.derivatives[0] == new_d
             assert res == resid
             v, d = st.v_hat, st.derivatives[0]
+
+
+def order_k_reference(xs, ext: ExtendedParams) -> tuple[np.ndarray, np.ndarray]:
+    """run() of order-k parameters, transcribed from the general update."""
+    n, k = xs.size, ext.k
+    g = [float(t) for t in gain_schedule(k, ext.theta, n).step_gains]
+    a_over_n = [c / n for c in ext.a_coeffs]
+    damp = 1.0 - ext.a_coeffs[0] / n
+    level_term = a_over_n[k] * ext.k_level
+    z = [init_state(k, xs[: _warmup_count(n)]).v_hat] + [0.0] * k
+    est, res = np.empty(n), np.empty(n)
+    for i, x in enumerate(xs.tolist()):
+        est[i] = z[0]
+        r = res[i] = x - z[0]
+        t = z[k] * damp
+        for ell in range(2, k + 2):
+            t = t - a_over_n[ell - 1] * z[k + 1 - ell]
+        t = t + level_term
+        z = [z[j] + z[j + 1] / n + g[j] * r for j in range(k)] + [t + g[k] * r]
+    return est, res
+
+
+class TestOrderOneFold:
+    @pytest.mark.parametrize(
+        "a_coeffs, k_level",
+        # the last two keep d small beside the relaxation terms, so that a
+        # reordered sum rounds differently on hundreds of steps
+        [((0.0, 0.0), 0.0), ((2.0, 1.0), 0.09), ((10.0, 300.0), 0.09), ((1.0, 100.0), 0.05)],
+    )
+    def test_matches_general_update_bit_for_bit(self, a_coeffs, k_level):
+        # k=1 has its own unrolled loop; it must keep the general loop's
+        # float operations in the same order
+        xs = noisy_series(4000, seed=11)
+        ext = ExtendedParams(k=1, theta=2.5, a_coeffs=a_coeffs, k_level=k_level)
+        est, res = order_k_reference(xs, ext)
+        result = run(xs, ext)
+        assert result.estimates.tobytes() == est.tobytes()
+        assert result.residuals.tobytes() == res.tobytes()
+
+    def test_reference_matches_general_loop(self):
+        # the transcription itself agrees with the loop k >= 2 runs
+        xs = noisy_series(500, seed=12)
+        ext = ExtendedParams(k=2, theta=1.5, a_coeffs=(3.0, 3.0, 1.0), k_level=0.09)
+        est, res = order_k_reference(xs, ext)
+        assert run(xs, ext).estimates.tobytes() == est.tobytes()
+        assert run(xs, ext).residuals.tobytes() == res.tobytes()
 
 
 class TestStepGarch:
@@ -536,3 +584,124 @@ class TestRunStepProperties:
             obs_hist.append(x)
         assert np.array_equal(est, result.estimates)
         assert np.array_equal(res, result.residuals)
+
+
+def same_bits(a, b) -> bool:
+    """Equal float64 bit patterns, where any NaN matches any NaN."""
+    a, b = np.atleast_1d(np.asarray(a, float)), np.atleast_1d(np.asarray(b, float))
+    nan = np.isnan(a)
+    if not np.array_equal(nan, np.isnan(b)):
+        return False
+    a, b = np.where(nan, 0.0, a), np.where(nan, 0.0, b)
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def assert_lanes_match_run(paths, params_seq):
+    many = run_many(paths, params_seq)
+    assert len(many) == len(params_seq)
+    for params, row in zip(params_seq, many):
+        assert len(row) == len(paths)
+        for xs, lane in zip(paths, row):
+            ref = run(xs, params)
+            assert same_bits(lane.estimates, ref.estimates)
+            assert same_bits(lane.residuals, ref.residuals)
+            assert same_bits(lane.s_n, ref.s_n)
+            assert lane.estimates.flags.c_contiguous and lane.residuals.flags.c_contiguous
+    return many
+
+
+@st.composite
+def lane_cases(draw):
+    """Paths of one length and order-k parameters with enough lanes for the
+    lockstep fold; theta reaches far past stability at these short n."""
+    k = draw(st.integers(0, 3))
+    n = draw(st.integers(30, 200))
+    m = draw(st.integers(1, 6))
+    p = draw(st.integers(-(-_MIN_LANES // m), -(-_MIN_LANES // m) + 3))
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=m, max_size=m))
+    params = []
+    for _ in range(p):
+        theta = 10.0 ** draw(st.floats(-2.0, 4.0))
+        if draw(st.booleans()):
+            a_coeffs, k_level = (0.0,) * (k + 1), 0.0
+        else:
+            # roots in [0.05, 0.5] keep every coefficient at most 2 < n/10
+            roots = draw(st.lists(st.floats(0.05, 0.5), min_size=k + 1, max_size=k + 1))
+            a_coeffs = tuple(float(c) for c in np.poly([-r for r in roots])[1:])
+            k_level = draw(st.floats(0.0, 0.2))
+        params.append(ExtendedParams(k, theta, a_coeffs, k_level))
+    return [noisy_series(n, seed) for seed in seeds], params
+
+
+class TestRunMany:
+    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @given(lane_cases())
+    def test_equals_run_lane_by_lane(self, case):
+        paths, params = case
+        assert len(paths) * len(params) >= _MIN_LANES
+        assert_lanes_match_run(paths, params)
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_diverging_lanes_match_run_and_warn_no_more(self, k):
+        # the larger thetas lie far outside the discrete stability region at n = 125
+        paths = [noisy_series(125, seed) for seed in range(8)]
+        params = [_pure(k, theta) for theta in (0.5, 1.0, 1e4, 1e6, 1e12)]
+        with warnings.catch_warnings(record=True) as lockstep:
+            warnings.simplefilter("always")
+            many = assert_lanes_match_run(paths, params)
+        assert not all(np.isfinite(lane.s_n) for row in many for lane in row)
+        with warnings.catch_warnings(record=True) as scalar:
+            warnings.simplefilter("always")
+            for p in params:
+                for xs in paths:
+                    run(xs, p)
+        assert {str(w.message) for w in lockstep} <= {str(w.message) for w in scalar}
+
+    def test_few_lanes_match_run(self):
+        paths = [noisy_series(300, seed) for seed in range(3)]
+        params = [ExtendedParams(1, theta, (2.0, 1.0), 0.09) for theta in (0.3, 3.0)]
+        assert len(paths) * len(params) < _MIN_LANES
+        assert_lanes_match_run(paths, params)
+
+    def test_paths_broadcast_without_copies(self):
+        paths = [noisy_series(200, seed) for seed in range(4)]
+        many = run_many(paths, [_pure(0, 0.1 * (j + 1)) for j in range(10)])
+        block = many[0][0].estimates.base
+        assert block is not None and block.shape == (10, 4, 200)
+        assert all(lane.estimates.base is block for row in many for lane in row)
+
+    def test_rejects_what_run_rejects(self):
+        good = noisy_series(200)
+        pure = _pure(0, 1.0)
+        bad = good.copy()
+        bad[5] = math.nan
+        with pytest.raises(DataError, match="index 5"):
+            run_many([good, bad], [pure])
+        with pytest.raises(ValueError, match="at least 2"):
+            run_many([good[:1]], [pure])
+        with pytest.raises(ValueError, match="at least 2"):
+            run_many([np.ones((2, 100))], [pure])
+        strong = ExtendedParams(k=0, theta=1.0, a_coeffs=(20.0,), k_level=0.0)
+        with pytest.raises(ValueError, match="n/10"):
+            run_many([good], [pure, strong])
+        far = ExtendedParams(k=0, theta=1.0, a_coeffs=(0.0,), k_level=200.0)
+        with pytest.raises(ValueError, match="k_level"):
+            run_many([good], [far, pure])
+        garch = GarchParams(p=1, q=1, k_const=0.0, g_coeffs=(0.5,), a_coeffs=(0.2,))
+        with pytest.raises(ValueError, match="GarchParams"):
+            run_many([good], [garch])
+
+    def test_rejects_mixed_lengths_orders_and_empty_batches(self):
+        xs = noisy_series(200)
+        with pytest.raises(ValueError, match="same length"):
+            run_many([xs, xs[:150]], [_pure(0, 1.0)])
+        with pytest.raises(ValueError, match="same order"):
+            run_many([xs], [_pure(0, 1.0), _pure(1, 1.0)])
+        with pytest.raises(ValueError, match="at least one"):
+            run_many([], [_pure(0, 1.0)])
+        with pytest.raises(ValueError, match="at least one"):
+            run_many([xs], [])
+
+
+def _pure(k: int, theta: float) -> ExtendedParams:
+    return ExtendedParams(k=k, theta=theta, a_coeffs=(0.0,) * (k + 1), k_level=0.0)

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from voltrack import (
@@ -361,6 +363,51 @@ class TestScenarioConfig:
         text = "mu.kind = constant\nmu.params = 0.05\nv.kind = constant\nv.params = -0.09\n"
         with pytest.raises(ScenarioError):
             parse_scenario_config(text)
+
+
+def _finite(lo: float, hi: float):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def positive_specs(draw, allow_sum: bool = True):
+    """A FuncSpec of any kind that stays strictly positive on t >= 0."""
+    kinds = ["constant", "linear", "sinusoid", "regime_switch"]
+    kind = draw(st.sampled_from(kinds + ["sum"] if allow_sum else kinds))
+    if kind == "constant":
+        return FuncSpec(kind, (draw(_finite(1e-6, 1e6)),))
+    if kind == "linear":
+        return FuncSpec(kind, (draw(_finite(1e-6, 1e6)), draw(_finite(0.0, 1e6))))
+    if kind == "sinusoid":
+        base = draw(_finite(1e-6, 1e6))
+        amp = base * draw(_finite(-0.99, 0.99))
+        freq, phase = draw(_finite(0.0, 50.0)), draw(_finite(-10.0, 10.0))
+        return FuncSpec(kind, (base, amp, freq, phase))
+    if kind == "regime_switch":
+        breaks = sorted(draw(st.lists(_finite(-10.0, 10.0), max_size=4, unique=True)))
+        levels = draw(
+            st.lists(_finite(1e-6, 1e6), min_size=len(breaks) + 1, max_size=len(breaks) + 1)
+        )
+        return FuncSpec(kind, levels=tuple(levels), breakpoints=tuple(breaks))
+    terms = draw(st.lists(positive_specs(allow_sum=False), min_size=1, max_size=3))
+    return FuncSpec("sum", terms=tuple(terms))
+
+
+@st.composite
+def scenarios(draw):
+    return Scenario(
+        mu_spec=draw(positive_specs()),
+        v_spec=draw(positive_specs()),
+        horizon_t=draw(_finite(1e-3, 1e3)),
+        s0=draw(_finite(1e-6, 1e6)),
+    )
+
+
+class TestScenarioConfigProperties:
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(scenarios())
+    def test_format_then_parse_is_identity(self, scen):
+        assert parse_scenario_config(format_scenario_config(scen)) == scen
 
 
 class TestPathCsv:
