@@ -23,7 +23,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import VoltrackError
-from .filters import ExtendedParams, run, run_many
+from .filters import ExtendedParams, run
 from .ioutil import float_repr
 from .simulate import Scenario, decomposition_diagnostics, generate_path
 from .tuning import TuningReport, fit_garch, tune_filter0, tune_filter1, tune_filter2
@@ -51,11 +51,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-
-# ordering_agreement runs its theta x path lanes a block of thetas at a
-# time: as many thetas as keep a block within 400k estimates and as many
-# residuals (6.4 MB), e.g. 10 thetas x 10 paths at n = 4000, and at least one.
-_BLOCK_CELLS = 400_000
 
 
 class Method(NamedTuple):
@@ -222,21 +217,6 @@ def convergence_experiment(
     )
 
 
-def _mean_losses(paths, params_seq, burn: int) -> tuple[list[float], list[float]]:
-    """Mean S_n and mean V_n over the paths, per parameter set.
-
-    The parameter x path lanes run in lockstep; they are freed when this
-    returns, before the caller runs its next block.
-    """
-    rows = run_many([path.xs for path in paths], params_seq)
-    sns = [float(np.mean([result.s_n for result in row])) for row in rows]
-    vns = [
-        float(np.mean([vn_metric(p.v_bar, r.estimates, burn) for p, r in zip(paths, row)]))
-        for row in rows
-    ]
-    return sns, vns
-
-
 def ordering_agreement(
     scenario: Scenario,
     theta_grid: Sequence[float],
@@ -260,13 +240,16 @@ def ordering_agreement(
         raise ValueError(f"need at least 10 seeds, got {seeds}")
     burn = burn_in_index(n, k, burn_c)
     paths = [generate_path(scenario, n, base_seed + j) for j in range(seeds)]
-    block = max(1, _BLOCK_CELLS // (seeds * n))
     sn_means, vn_means = [], []
-    for start in range(0, len(grid), block):
-        params = [_pure_params(k, theta) for theta in grid[start : start + block]]
-        sns, vns = _mean_losses(paths, params, burn)
-        sn_means += sns
-        vn_means += vns
+    for theta in grid:
+        params = _pure_params(k, theta)
+        sns, vns = [], []
+        for path in paths:
+            result = run(path.xs, params)
+            sns.append(result.s_n)
+            vns.append(vn_metric(path.v_bar, result.estimates, burn))
+        sn_means.append(float(np.mean(sns)))
+        vn_means.append(float(np.mean(vns)))
     # imported here: scipy.stats is about 40% of the time `import voltrack` takes
     from scipy.stats import kendalltau
 

@@ -13,17 +13,13 @@ observations strictly before i):
 
 Each family's recursion is written once, as a private fold: run()
 folds it over the whole series and step_* over one observation, so run
-equals the composition of steps by construction.  The order-k fold is
-also written once over floats or lane arrays: run() passes Python
-floats, and run_many() passes (P, M) arrays that advance P parameter
-sets over M series in lockstep with the same float operations, so each
-lane equals its run() bit for bit.  The k=0 fold keeps a coefficient
-form with the same float operations as its GARCH(1,1) twin, which makes
-that reduction exact bit for bit.  The k=1 fold is the general update
-unrolled into two locals, in the same operation order, at about a third
-of the general loop's cost per step.  For fixed g the GARCH estimates
-are affine in K and a; _garch_basis returns the responses that the
-GARCH fit combines.
+equals the composition of steps by construction.  The k=0 fold keeps a
+coefficient form with the same float operations as its GARCH(1,1) twin,
+which makes that reduction exact bit for bit.  The k=1 fold is the
+general order-k update unrolled into two locals, in the same operation
+order, at about a third of the general loop's cost per step.  For
+fixed g the GARCH estimates are affine in K and a; _garch_basis
+returns the responses that the GARCH fit combines.
 """
 
 from __future__ import annotations
@@ -47,18 +43,12 @@ __all__ = [
     "step_adaptive",
     "step_garch",
     "run",
-    "run_many",
 ]
 
 # Sum(g) + Sum(a) may sit exactly on 1: the level filter with a_1 = 0 maps
 # onto a GARCH(1,1) whose coefficients add up to one.  Strict stationarity
 # is enforced where parameters are fitted, not here.
 _GARCH_SUM_SLACK = 1e-12
-
-# Below this many lanes a lockstep step, one numpy call per operation,
-# costs more than the lanes' scalar steps (measured crossover: 20-40
-# lanes at n = 4000), so run_many runs such batches one lane at a time.
-_MIN_LANES = 32
 
 
 @dataclass(frozen=True)
@@ -170,15 +160,13 @@ def init_state(k: int, warmup: Sequence[float]) -> FilterState:
     return FilterState(v_hat=float(np.mean(w)), derivatives=(0.0,) * k, step_index=0)
 
 
-def _fold_adaptive(z, xs, g, a, level, n, estimates, residuals) -> list:
+def _fold_adaptive(z, xs, g, a, level, n, estimates, residuals) -> list[float]:
     """The order-k recursion, folded over xs from the state vector z.
 
     z is [v_hat, d_1, ..., d_k]; g are the step gains, a the relaxation
     coefficients, level the long-run level K and n the schedule length.
     estimates[i] and residuals[i] receive the prediction of xs[i] and
     xs[i] minus it.  Returns the state vector after the last observation.
-    The operands are Python floats (run) or broadcasting lane arrays
-    (run_many); both perform the same float operations in the same order.
     """
     k = len(z) - 1
     if k == 0:
@@ -351,38 +339,18 @@ def _warmup_count(n: int) -> int:
     return min(20, -(-n // 20))
 
 
-def _series(xs: Sequence[float]) -> np.ndarray:
-    x_arr = np.asarray(xs, dtype=float)
-    if x_arr.ndim != 1 or x_arr.size < 2:
-        raise ValueError("need a one-dimensional series of at least 2 observations")
-    bad = np.flatnonzero(~np.isfinite(x_arr))
-    if bad.size:
-        raise DataError(f"non-finite observation at index {int(bad[0])}")
-    return x_arr
-
-
-def _check_range(params: ExtendedParams, n: int) -> None:
-    if max(params.a_coeffs) >= n / 10:
-        raise ValueError("a_coeffs must stay well below n (max coefficient < n/10)")
-    if abs(params.k_level) >= n:
-        raise ValueError("k_level magnitude must stay below n")
-
-
-def _step_gains(params: ExtendedParams, n: int) -> list[float]:
-    return [float(t) for t in gain_schedule(params.k, params.theta, n).step_gains]
-
-
-def _mean_square(residuals: np.ndarray) -> float:
-    return float(np.mean(np.square(residuals)))
-
-
 def run(xs: Sequence[float], params: ExtendedParams | GarchParams) -> TrackResult:
     """Fold the matching recursion over a full observation series.
 
     estimates[i] is the one-step prediction of xs[i]; residuals[i] is
     xs[i] - estimates[i]; s_n is the mean squared residual.
     """
-    x_arr = _series(xs)
+    x_arr = np.asarray(xs, dtype=float)
+    if x_arr.ndim != 1 or x_arr.size < 2:
+        raise ValueError("need a one-dimensional series of at least 2 observations")
+    bad = np.flatnonzero(~np.isfinite(x_arr))
+    if bad.size:
+        raise DataError(f"non-finite observation at index {int(bad[0])}")
     n = int(x_arr.size)
     obs = x_arr.tolist()
     estimates = np.empty(n)
@@ -395,68 +363,15 @@ def run(xs: Sequence[float], params: ExtendedParams | GarchParams) -> TrackResul
             [v0] * params.p, [v0] * (params.q - 1), obs, params, estimates, residuals
         )
     elif isinstance(params, ExtendedParams):
-        _check_range(params, n)
+        if max(params.a_coeffs) >= n / 10:
+            raise ValueError("a_coeffs must stay well below n (max coefficient < n/10)")
+        if abs(params.k_level) >= n:
+            raise ValueError("k_level magnitude must stay below n")
+        g = [float(t) for t in gain_schedule(params.k, params.theta, n).step_gains]
         state = init_state(params.k, x_arr[: _warmup_count(n)])
         z, a = [state.v_hat, *state.derivatives], params.a_coeffs
-        g = _step_gains(params, n)
         _fold_adaptive(z, obs, g, a, params.k_level, n, estimates, residuals)
     else:
         raise ValueError(f"unsupported parameter type {type(params).__name__}")
-    s_n = _mean_square(residuals)
+    s_n = float(np.mean(np.square(residuals)))
     return TrackResult(estimates=estimates, residuals=residuals, s_n=s_n)
-
-
-def run_many(
-    paths: Sequence[Sequence[float]], params_seq: Sequence[ExtendedParams]
-) -> list[list[TrackResult]]:
-    """Run every parameter set over every series, all lanes in lockstep.
-
-    paths holds M series of one length and params_seq P parameter sets
-    of one order k.  Returns P rows of M results, and result[p][m] equals
-    run(paths[m], params_seq[p]) bit for bit.  The lanes are (P, M)
-    arrays: per-parameter coefficients are (P, 1) columns and each step's
-    observations an (M,) row, so the paths broadcast across the
-    parameter sets without being copied.  Each estimate and residual
-    path is a contiguous row of one (P, M, n) block.  Fewer than
-    _MIN_LANES lanes run one at a time through run().
-    """
-    series = [_series(xs) for xs in paths]
-    if not series or not params_seq:
-        raise ValueError("need at least one series and one parameter set")
-    n = int(series[0].size)
-    if any(x.size != n for x in series):
-        raise ValueError("all series must have the same length")
-    for params in params_seq:
-        if not isinstance(params, ExtendedParams):
-            raise ValueError(f"unsupported parameter type {type(params).__name__}")
-        _check_range(params, n)
-    k = params_seq[0].k
-    if any(params.k != k for params in params_seq):
-        raise ValueError("all parameter sets must have the same order k")
-    if len(params_seq) * len(series) < _MIN_LANES:
-        return [[run(xs, params) for xs in series] for params in params_seq]
-
-    def column(values) -> np.ndarray:
-        return np.array(values, dtype=float)[:, None]
-
-    g = [column(gains) for gains in zip(*(_step_gains(p, n) for p in params_seq))]
-    a = [column(coeffs) for coeffs in zip(*(p.a_coeffs for p in params_seq))]
-    level = column([p.k_level for p in params_seq])
-    shape = (len(params_seq), len(series))
-    v0 = np.array([init_state(k, x[: _warmup_count(n)]).v_hat for x in series])
-    z = [np.broadcast_to(v0, shape), *(np.zeros(shape) for _ in range(k))]
-    estimates = np.empty((*shape, n))
-    residuals = np.empty((*shape, n))
-    # Python floats overflow to inf and turn inf - inf into nan silently;
-    # the lanes do the same without numpy's warnings.
-    # step i reads row i of the (n, M) observations and writes column i of
-    # every lane's estimate and residual row
-    obs = np.stack(series, axis=1)
-    est_steps = np.moveaxis(estimates, -1, 0)
-    res_steps = np.moveaxis(residuals, -1, 0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        _fold_adaptive(z, obs, g, a, level, n, est_steps, res_steps)
-    return [
-        [TrackResult(e, r, _mean_square(r)) for e, r in zip(e_row, r_row)]
-        for e_row, r_row in zip(estimates, residuals)
-    ]

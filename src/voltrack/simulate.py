@@ -289,10 +289,6 @@ def format_scenario_config(scenario: Scenario) -> str:
 
 
 def _floats(text: str, key: str) -> tuple[float, ...]:
-    # format_scenario_config writes an empty list (the breakpoints of a
-    # one-level regime_switch) as an empty value
-    if not text:
-        return ()
     try:
         return tuple(float(piece) for piece in text.split(","))
     except ValueError as exc:
@@ -316,10 +312,13 @@ def _parse_spec(prefix: str, kv: dict[str, str], used: set[str]) -> FuncSpec:
         if lv_key not in kv or bp_key not in kv:
             raise DataError(f"regime_switch needs {lv_key} and {bp_key}")
         used.update((lv_key, bp_key))
+        # format_scenario_config writes the breakpoints of a one-level
+        # regime_switch as an empty value
+        bp_text = kv[bp_key]
         return FuncSpec(
             kind=kind,
             levels=_floats(kv[lv_key], lv_key),
-            breakpoints=_floats(kv[bp_key], bp_key),
+            breakpoints=_floats(bp_text, bp_key) if bp_text else (),
         )
     if kind == "sum":
         count_key = f"{prefix}.terms"

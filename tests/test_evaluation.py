@@ -17,7 +17,6 @@ from voltrack import (
     BENCH_METHODS,
     BenchReport,
     ConvergenceResult,
-    ExtendedParams,
     FuncSpec,
     OrderingResult,
     Scenario,
@@ -29,12 +28,9 @@ from voltrack import (
     convergence_experiment,
     convergence_json_text,
     convergence_plot_text,
-    evaluation,
-    generate_path,
     ordering_agreement,
     ordering_csv_text,
     ordering_json_text,
-    run,
     shift_sensitivity,
     vn_metric,
 )
@@ -190,28 +186,6 @@ class TestOrderingAgreement:
         assert result.argmin_match == (
             int(np.argmin(result.sn_values)) == int(np.argmin(result.vn_values))
         )
-
-    @pytest.mark.parametrize("k, block_cells", [(0, 400_000), (1, 16_000), (2, 5_000)])
-    def test_equals_one_run_per_theta_and_path(self, k, block_cells, monkeypatch):
-        # 11 thetas x 10 paths of 400 steps run as one lockstep block, as
-        # blocks of 4, 4 and 3 thetas (the last below run_many's lockstep
-        # minimum) or one theta at a time; the means are always those of
-        # one run() per theta and path, bit for bit, diverged thetas included
-        monkeypatch.setattr(evaluation, "_BLOCK_CELLS", block_cells)
-        grid = [0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1000.0, 3000.0, 1e4]
-        n, seeds, base_seed = 400, 10, 5
-        result = ordering_agreement(SINU, grid, n=n, seeds=seeds, k=k, base_seed=base_seed)
-        burn = burn_in_index(n, k, 1.0)
-        paths = [generate_path(SINU, n, base_seed + j) for j in range(seeds)]
-        sn_means, vn_means = [], []
-        for theta in grid:
-            params = ExtendedParams(k=k, theta=theta, a_coeffs=(0.0,) * (k + 1))
-            results = [run(path.xs, params) for path in paths]
-            sn_means.append(float(np.mean([r.s_n for r in results])))
-            vns = [vn_metric(p.v_bar, r.estimates, burn) for p, r in zip(paths, results)]
-            vn_means.append(float(np.mean(vns)))
-        assert np.array_equal(result.sn_values, sn_means, equal_nan=True)
-        assert np.array_equal(result.vn_values, vn_means, equal_nan=True)
 
     def test_validation(self):
         with pytest.raises(ValueError):

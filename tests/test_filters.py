@@ -7,7 +7,6 @@ properties over randomly drawn parameters.
 """
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -23,11 +22,10 @@ from voltrack import (
     gain_schedule,
     init_state,
     run,
-    run_many,
     step_adaptive,
     step_garch,
 )
-from voltrack.filters import _MIN_LANES, _garch_basis, _warmup_count
+from voltrack.filters import _garch_basis, _warmup_count
 
 
 def stable_a(k: int) -> tuple[float, ...]:
@@ -585,123 +583,3 @@ class TestRunStepProperties:
         assert np.array_equal(est, result.estimates)
         assert np.array_equal(res, result.residuals)
 
-
-def same_bits(a, b) -> bool:
-    """Equal float64 bit patterns, where any NaN matches any NaN."""
-    a, b = np.atleast_1d(np.asarray(a, float)), np.atleast_1d(np.asarray(b, float))
-    nan = np.isnan(a)
-    if not np.array_equal(nan, np.isnan(b)):
-        return False
-    a, b = np.where(nan, 0.0, a), np.where(nan, 0.0, b)
-    return np.array_equal(a.view(np.int64), b.view(np.int64))
-
-
-def assert_lanes_match_run(paths, params_seq):
-    many = run_many(paths, params_seq)
-    assert len(many) == len(params_seq)
-    for params, row in zip(params_seq, many):
-        assert len(row) == len(paths)
-        for xs, lane in zip(paths, row):
-            ref = run(xs, params)
-            assert same_bits(lane.estimates, ref.estimates)
-            assert same_bits(lane.residuals, ref.residuals)
-            assert same_bits(lane.s_n, ref.s_n)
-            assert lane.estimates.flags.c_contiguous and lane.residuals.flags.c_contiguous
-    return many
-
-
-@st.composite
-def lane_cases(draw):
-    """Paths of one length and order-k parameters with enough lanes for the
-    lockstep fold; theta reaches far past stability at these short n."""
-    k = draw(st.integers(0, 3))
-    n = draw(st.integers(30, 200))
-    m = draw(st.integers(1, 6))
-    p = draw(st.integers(-(-_MIN_LANES // m), -(-_MIN_LANES // m) + 3))
-    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=m, max_size=m))
-    params = []
-    for _ in range(p):
-        theta = 10.0 ** draw(st.floats(-2.0, 4.0))
-        if draw(st.booleans()):
-            a_coeffs, k_level = (0.0,) * (k + 1), 0.0
-        else:
-            # roots in [0.05, 0.5] keep every coefficient at most 2 < n/10
-            roots = draw(st.lists(st.floats(0.05, 0.5), min_size=k + 1, max_size=k + 1))
-            a_coeffs = tuple(float(c) for c in np.poly([-r for r in roots])[1:])
-            k_level = draw(st.floats(0.0, 0.2))
-        params.append(ExtendedParams(k, theta, a_coeffs, k_level))
-    return [noisy_series(n, seed) for seed in seeds], params
-
-
-class TestRunMany:
-    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
-    @given(lane_cases())
-    def test_equals_run_lane_by_lane(self, case):
-        paths, params = case
-        assert len(paths) * len(params) >= _MIN_LANES
-        assert_lanes_match_run(paths, params)
-
-    @pytest.mark.parametrize("k", [0, 1, 2])
-    def test_diverging_lanes_match_run_and_warn_no_more(self, k):
-        # the larger thetas lie far outside the discrete stability region at n = 125
-        paths = [noisy_series(125, seed) for seed in range(8)]
-        params = [_pure(k, theta) for theta in (0.5, 1.0, 1e4, 1e6, 1e12)]
-        with warnings.catch_warnings(record=True) as lockstep:
-            warnings.simplefilter("always")
-            many = assert_lanes_match_run(paths, params)
-        assert not all(np.isfinite(lane.s_n) for row in many for lane in row)
-        with warnings.catch_warnings(record=True) as scalar:
-            warnings.simplefilter("always")
-            for p in params:
-                for xs in paths:
-                    run(xs, p)
-        assert {str(w.message) for w in lockstep} <= {str(w.message) for w in scalar}
-
-    def test_few_lanes_match_run(self):
-        paths = [noisy_series(300, seed) for seed in range(3)]
-        params = [ExtendedParams(1, theta, (2.0, 1.0), 0.09) for theta in (0.3, 3.0)]
-        assert len(paths) * len(params) < _MIN_LANES
-        assert_lanes_match_run(paths, params)
-
-    def test_paths_broadcast_without_copies(self):
-        paths = [noisy_series(200, seed) for seed in range(4)]
-        many = run_many(paths, [_pure(0, 0.1 * (j + 1)) for j in range(10)])
-        block = many[0][0].estimates.base
-        assert block is not None and block.shape == (10, 4, 200)
-        assert all(lane.estimates.base is block for row in many for lane in row)
-
-    def test_rejects_what_run_rejects(self):
-        good = noisy_series(200)
-        pure = _pure(0, 1.0)
-        bad = good.copy()
-        bad[5] = math.nan
-        with pytest.raises(DataError, match="index 5"):
-            run_many([good, bad], [pure])
-        with pytest.raises(ValueError, match="at least 2"):
-            run_many([good[:1]], [pure])
-        with pytest.raises(ValueError, match="at least 2"):
-            run_many([np.ones((2, 100))], [pure])
-        strong = ExtendedParams(k=0, theta=1.0, a_coeffs=(20.0,), k_level=0.0)
-        with pytest.raises(ValueError, match="n/10"):
-            run_many([good], [pure, strong])
-        far = ExtendedParams(k=0, theta=1.0, a_coeffs=(0.0,), k_level=200.0)
-        with pytest.raises(ValueError, match="k_level"):
-            run_many([good], [far, pure])
-        garch = GarchParams(p=1, q=1, k_const=0.0, g_coeffs=(0.5,), a_coeffs=(0.2,))
-        with pytest.raises(ValueError, match="GarchParams"):
-            run_many([good], [garch])
-
-    def test_rejects_mixed_lengths_orders_and_empty_batches(self):
-        xs = noisy_series(200)
-        with pytest.raises(ValueError, match="same length"):
-            run_many([xs, xs[:150]], [_pure(0, 1.0)])
-        with pytest.raises(ValueError, match="same order"):
-            run_many([xs], [_pure(0, 1.0), _pure(1, 1.0)])
-        with pytest.raises(ValueError, match="at least one"):
-            run_many([], [_pure(0, 1.0)])
-        with pytest.raises(ValueError, match="at least one"):
-            run_many([xs], [])
-
-
-def _pure(k: int, theta: float) -> ExtendedParams:
-    return ExtendedParams(k=k, theta=theta, a_coeffs=(0.0,) * (k + 1), k_level=0.0)

@@ -350,6 +350,31 @@ class TestScenarioConfig:
         with pytest.raises(DataError, match="bad number"):
             parse_scenario_config(text)
 
+    def test_round_trip_one_level_regime_switch(self):
+        # the empty breakpoint list is written as an empty value
+        scen = Scenario(
+            mu_spec=FuncSpec("constant", (0.05,)),
+            v_spec=FuncSpec("regime_switch", levels=(0.09,)),
+        )
+        text = format_scenario_config(scen)
+        assert "v.breakpoints = \n" in text
+        assert parse_scenario_config(text) == scen
+
+    @pytest.mark.parametrize("key", ["mu.params", "v.levels"])
+    def test_empty_number_list_rejected(self, key):
+        # only a regime_switch's breakpoints may be empty
+        lines = {
+            "mu.kind": "constant",
+            "mu.params": "0.05",
+            "v.kind": "regime_switch",
+            "v.levels": "0.09",
+            "v.breakpoints": "",
+        }
+        lines[key] = ""
+        text = "".join(f"{k} = {v}\n" for k, v in lines.items())
+        with pytest.raises(DataError, match=f"bad number list for {key}"):
+            parse_scenario_config(text)
+
     def test_line_without_equals_rejected(self):
         with pytest.raises(DataError, match="line 1"):
             parse_scenario_config("mu.kind constant\n")
