@@ -19,6 +19,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, fields
 from functools import partial
@@ -267,6 +268,18 @@ def _write(path, text: str) -> None:
     atomic_write_text(resolve_out_path(path), text)
 
 
+def _distinct_outputs(*flag_paths: tuple[str, str | None]) -> None:
+    """Refuse two output flags that name one file, before any work is done."""
+    seen = {}
+    for flag, path in flag_paths:
+        if path is None:
+            continue
+        target = os.path.abspath(resolve_out_path(path))
+        if target in seen:
+            raise ValueError(f"{seen[target]} and {flag} both name {target}")
+        seen[target] = flag
+
+
 def _cmd_track(args) -> int:
     xs = _load_xs(args)
     explicit = {field: getattr(args, flag) for flag, field in _FLAG_FIELDS.items()}
@@ -305,6 +318,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    json_out = args.json_out if args.json_out else str(Path(args.out).with_suffix(".json"))
+    _distinct_outputs(("--out", args.out), ("--json-out", json_out))
     delta = _delta(args)
     series_set = {}
     for input_path in args.input:
@@ -319,12 +334,14 @@ def _cmd_bench(args) -> int:
     _write(args.out, bench_csv_text(report))
     doc = json.loads(bench_json_text(report))
     doc["delta"] = delta
-    json_out = args.json_out if args.json_out else str(Path(args.out).with_suffix(".json"))
     _write(json_out, json.dumps(doc, indent=2) + "\n")
     return 0
 
 
 def _cmd_convergence(args) -> int:
+    _distinct_outputs(
+        ("--out", args.out), ("--json-out", args.json_out), ("--plot-out", args.plot_out)
+    )
     scenario = parse_scenario_config(_read_text(args.scenario))
     result = convergence_experiment(
         scenario,
@@ -347,6 +364,7 @@ def _cmd_convergence(args) -> int:
 
 
 def _cmd_ordering(args) -> int:
+    _distinct_outputs(("--out", args.out), ("--json-out", args.json_out))
     scenario = parse_scenario_config(_read_text(args.scenario))
     result = ordering_agreement(
         scenario,

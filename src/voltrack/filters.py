@@ -11,15 +11,18 @@ observations strictly before i):
   one- and two-derivative level filters used in the benchmarks);
 * the classical GARCH(p, q) recursion fitted by least squares.
 
-Each family's recursion is written once, as a private fold: run()
-folds it over the whole series and step_* over one observation, so run
-equals the composition of steps by construction.  The k=0 fold keeps a
-coefficient form with the same float operations as its GARCH(1,1) twin,
-which makes that reduction exact bit for bit.  The k=1 fold is the
-general order-k update unrolled into two locals, in the same operation
-order, at about a third of the general loop's cost per step.  For
-fixed g the GARCH estimates are affine in K and a; _garch_basis
-returns the responses that the GARCH fit combines.
+Each family's recursion is written once, as a private fold that only
+folds: it appends the one-step predictions to a list and returns the
+final state.  run() folds it over the whole series and step_* over one
+observation, so run equals the composition of steps by construction;
+residuals and S_n are formed from the predictions afterwards, in run()
+as one array subtraction and in step_* as x minus the prediction.  The
+k=0 fold keeps a coefficient form with the same float operations as
+its GARCH(1,1) twin, which makes that reduction exact bit for bit.  The
+k=1 fold is the general order-k update unrolled into two locals, in the
+same operation order, at under a third of the general loop's cost per
+step.  For fixed g the GARCH estimates are affine in K and a;
+_garch_basis returns the responses that the GARCH fit combines.
 """
 
 from __future__ import annotations
@@ -160,13 +163,13 @@ def init_state(k: int, warmup: Sequence[float]) -> FilterState:
     return FilterState(v_hat=float(np.mean(w)), derivatives=(0.0,) * k, step_index=0)
 
 
-def _fold_adaptive(z, xs, g, a, level, n, estimates, residuals) -> list[float]:
+def _fold_adaptive(z, xs, g, a, level, n, estimates) -> list[float]:
     """The order-k recursion, folded over xs from the state vector z.
 
     z is [v_hat, d_1, ..., d_k]; g are the step gains, a the relaxation
     coefficients, level the long-run level K and n the schedule length.
-    estimates[i] and residuals[i] receive the prediction of xs[i] and
-    xs[i] minus it.  Returns the state vector after the last observation.
+    The prediction of each x in xs is appended to estimates.  Returns the
+    state vector after the last observation.
     """
     k = len(z) - 1
     if k == 0:
@@ -177,10 +180,8 @@ def _fold_adaptive(z, xs, g, a, level, n, estimates, residuals) -> list[float]:
         coef_k = a[0] / n
         g0 = g[0]
         v = z[0]
-        for i in range(len(xs)):
-            x = xs[i]
-            estimates[i] = v
-            residuals[i] = x - v
+        for x in xs:
+            estimates.append(v)
             v = coef_v * v + coef_k * level + g0 * x
         return [v]
     damp = 1.0 - a[0] / n
@@ -191,18 +192,14 @@ def _fold_adaptive(z, xs, g, a, level, n, estimates, residuals) -> list[float]:
         # operations in the same order, without the per-step lists.
         g0, g1, a2n = g[0], g[1], a_over_n[1]
         v, d = z
-        for i in range(len(xs)):
-            x = xs[i]
-            estimates[i] = v
+        for x in xs:
+            estimates.append(v)
             res = x - v
-            residuals[i] = res
             v, d = v + d / n + g0 * res, d * damp - a2n * v + level_term + g1 * res
         return [v, d]
-    for i in range(len(xs)):
-        x = xs[i]
-        estimates[i] = z[0]
+    for x in xs:
+        estimates.append(z[0])
         res = x - z[0]
-        residuals[i] = res
         new = [0.0] * (k + 1)
         new[0] = z[0] + z[1] / n + g[0] * res
         for j in range(1, k):
@@ -217,24 +214,17 @@ def _fold_adaptive(z, xs, g, a, level, n, estimates, residuals) -> list[float]:
     return z
 
 
-def _fold_garch(
-    est_hist, obs_hist, xs, params: GarchParams, estimates, residuals
-) -> tuple[list[float], list[float]]:
+def _fold_garch(est, obs, xs, params: GarchParams) -> None:
     """The GARCH(p, q) recursion, folded over xs.
 
-    est_hist holds the last p estimates and obs_hist the last q-1
-    observations, most recent last; the fold returns both windows as
-    they stand after the last observation.  estimates[i] and
-    residuals[i] receive the prediction of xs[i] and xs[i] minus it.
+    est holds at least p prior estimates and obs at least q-1 prior
+    observations, most recent last.  Each step appends its new estimate
+    to est and its observation to obs, so the prediction of xs[i] is the
+    estimate that stood last in est before that step.
     """
     p, q = params.p, params.q
     k_const, g, a = params.k_const, params.g_coeffs, params.a_coeffs
-    est, obs = list(est_hist), list(obs_hist)
-    for i in range(len(xs)):
-        x = xs[i]
-        prev = est[-1]
-        estimates[i] = prev
-        residuals[i] = x - prev
+    for x in xs:
         acc = k_const
         for j in range(1, p + 1):
             acc = acc + g[j - 1] * est[-j]
@@ -245,7 +235,6 @@ def _fold_garch(
             acc = 0.0
         est.append(acc)
         obs.append(x)
-    return est[len(est) - p :], obs[len(obs) - (q - 1) :]
 
 
 def _garch_basis(x_arr: np.ndarray, g_coeffs: Sequence[float], q: int) -> np.ndarray:
@@ -299,10 +288,9 @@ def step_adaptive(
         raise ValueError(f"schedule theta {schedule.theta} differs from theta {ext.theta}")
     if not math.isfinite(x):
         raise DataError(f"non-finite observation {x!r}")
-    z, est, res = [state.v_hat, *state.derivatives], [0.0], [0.0]
-    g, n = schedule.step_gains, schedule.n
-    z = _fold_adaptive(z, (x,), g, ext.a_coeffs, ext.k_level, n, est, res)
-    return FilterState(z[0], tuple(z[1:]), state.step_index + 1), res[0]
+    z, g, n = [state.v_hat, *state.derivatives], schedule.step_gains, schedule.n
+    z = _fold_adaptive(z, (x,), g, ext.a_coeffs, ext.k_level, n, [])
+    return FilterState(z[0], tuple(z[1:]), state.step_index + 1), x - state.v_hat
 
 
 def step_garch(
@@ -328,11 +316,9 @@ def step_garch(
         )
     if not math.isfinite(x):
         raise DataError(f"non-finite observation {x!r}")
-    est_hist = est_hist[len(est_hist) - p :]
-    obs_hist = obs_hist[len(obs_hist) - (q - 1) :]
-    est, res = [0.0], [0.0]
-    new_est, _ = _fold_garch(est_hist, obs_hist, (x,), params, est, res)
-    return new_est[-1], res[0]
+    est = list(est_hist[len(est_hist) - p :])
+    _fold_garch(est, list(obs_hist[len(obs_hist) - (q - 1) :]), (x,), params)
+    return est[-1], x - est_hist[-1]
 
 
 def _warmup_count(n: int) -> int:
@@ -353,15 +339,13 @@ def run(xs: Sequence[float], params: ExtendedParams | GarchParams) -> TrackResul
         raise DataError(f"non-finite observation at index {int(bad[0])}")
     n = int(x_arr.size)
     obs = x_arr.tolist()
-    estimates = np.empty(n)
-    residuals = np.empty(n)
     if isinstance(params, GarchParams):
         # The first observation seeds the recursion; missing pre-sample
         # estimates and observations are padded with it.
-        v0 = obs[0]
-        _fold_garch(
-            [v0] * params.p, [v0] * (params.q - 1), obs, params, estimates, residuals
-        )
+        p, v0 = params.p, obs[0]
+        est = [v0] * p
+        _fold_garch(est, [v0] * (params.q - 1), obs, params)
+        preds = est[p - 1 : p - 1 + n]
     elif isinstance(params, ExtendedParams):
         if max(params.a_coeffs) >= n / 10:
             raise ValueError("a_coeffs must stay well below n (max coefficient < n/10)")
@@ -369,9 +353,11 @@ def run(xs: Sequence[float], params: ExtendedParams | GarchParams) -> TrackResul
             raise ValueError("k_level magnitude must stay below n")
         g = [float(t) for t in gain_schedule(params.k, params.theta, n).step_gains]
         state = init_state(params.k, x_arr[: _warmup_count(n)])
-        z, a = [state.v_hat, *state.derivatives], params.a_coeffs
-        _fold_adaptive(z, obs, g, a, params.k_level, n, estimates, residuals)
+        z, preds = [state.v_hat, *state.derivatives], []
+        _fold_adaptive(z, obs, g, params.a_coeffs, params.k_level, n, preds)
     else:
         raise ValueError(f"unsupported parameter type {type(params).__name__}")
+    estimates = np.array(preds)
+    residuals = x_arr - estimates
     s_n = float(np.mean(np.square(residuals)))
     return TrackResult(estimates=estimates, residuals=residuals, s_n=s_n)

@@ -646,6 +646,23 @@ class TestBench:
         assert doc["delta"] == DEFAULT_DELTA
         capsys.readouterr()
 
+    def test_default_json_out_on_out_exits_one(self, tmp_path, capsys):
+        # --out b.json makes the default --json-out b.json as well
+        path = write_prices(tmp_path, count=120)
+        out = tmp_path / "b.json"
+        assert main(["bench", "--input", path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out and --json-out both name ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+
+def assert_refused_collision(tmp_path, capsys, code, flags):
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"error: {flags[0]} and {flags[1]} both name {tmp_path / 'x.csv'}\n"
+    assert sorted(os.listdir(tmp_path)) == ["scenario.cfg"]
+
 
 class TestConvergence:
     def test_csv_json_and_plot(self, tmp_path, capsys):
@@ -674,6 +691,15 @@ class TestConvergence:
         doc = json.loads(json_out.read_text())
         assert doc["kind"] == "convergence"
         assert len(plot_out.read_text().strip().split("\n")) == 3
+
+    def test_plot_out_on_out_exits_one(self, tmp_path, capsys):
+        scenario = write_scenario(tmp_path)
+        out = str(tmp_path / "x.csv")
+        code = main(
+            ["convergence", "--scenario", scenario, "--n", "400,1200", "--seeds", "2",
+             "--out", out, "--plot-out", out]
+        )
+        assert_refused_collision(tmp_path, capsys, code, ("--out", "--plot-out"))
 
 
 class TestOrdering:
@@ -716,6 +742,17 @@ class TestOrdering:
         )
         assert code == 2
         capsys.readouterr()
+
+    def test_json_out_on_redirected_out_exits_one(self, tmp_path, monkeypatch, capsys):
+        # a bare --out lands in $VOLTRACK_OUT_DIR, where --json-out names it too
+        monkeypatch.setenv("VOLTRACK_OUT_DIR", str(tmp_path))
+        monkeypatch.chdir(tmp_path)
+        scenario = write_scenario(tmp_path)
+        code = main(
+            ["ordering", "--scenario", scenario, "--theta-grid", "0.5,1", "--n", "500",
+             "--seeds", "2", "--out", "x.csv", "--json-out", str(tmp_path / "x.csv")]
+        )
+        assert_refused_collision(tmp_path, capsys, code, ("--out", "--json-out"))
 
 
 class TestOutDirRedirect:

@@ -566,6 +566,34 @@ class TestRunStepProperties:
         assert np.array_equal(est, result.estimates)
         assert np.array_equal(res, result.residuals)
 
+    def test_run_equals_step_composition_on_a_diverging_run(self):
+        # theta=1000 lies past the k=0 stability bound 2 n^(2/3) ~ 504: the
+        # estimates alternate in sign, overflow to +-inf and S_n is inf
+        xs = noisy_series(4000)
+        n = xs.size
+        ext = ExtendedParams(k=0, theta=1000.0, a_coeffs=(0.0,))
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = run(xs, ext)
+        sch = gain_schedule(0, ext.theta, n)
+        state = init_state(0, xs[: _warmup_count(n)])
+        est, res = [], []
+        # a FilterState holds only finite estimates, so the steps stop at the
+        # first update that overflows (in float64 gains, which warn)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            for x in xs.tolist():
+                est.append(state.v_hat)
+                state, r = step_adaptive(state, x, sch, ext)
+                res.append(r)
+        m = len(est)
+        assert 0 < m < n and len(res) == m - 1
+        assert np.array(est).tobytes() == result.estimates[:m].tobytes()
+        assert np.array(res).tobytes() == result.residuals[: m - 1].tobytes()
+        assert float(xs[m - 1]) - est[-1] == result.residuals[m - 1]
+        tail = result.estimates[m:]
+        assert np.all(np.isinf(tail)) and np.all(tail[1:] == -tail[:-1])
+        assert result.residuals[m:].tobytes() == (-tail).tobytes()
+        assert result.s_n == math.inf
+
     @_PROPERTY_SETTINGS
     @given(garch_cases())
     def test_run_equals_step_garch_composition(self, case):
