@@ -268,9 +268,14 @@ def _write(path, text: str) -> None:
     atomic_write_text(resolve_out_path(path), text)
 
 
-def _distinct_outputs(*flag_paths: tuple[str, str | None]) -> None:
-    """Refuse two output flags that name one file, before any work is done."""
+def _distinct_outputs(args, *flag_paths: tuple[str, str | None]) -> None:
+    """Refuse an output flag that names an input file (--input, each bench
+    --input, --scenario) or another output's file, before any work is done."""
     seen = {}
+    for flag in ("--input", "--scenario"):
+        paths = getattr(args, flag[2:], None)
+        for path in [paths] if isinstance(paths, str) else paths or ():
+            seen[os.path.abspath(path)] = flag
     for flag, path in flag_paths:
         if path is None:
             continue
@@ -281,6 +286,7 @@ def _distinct_outputs(*flag_paths: tuple[str, str | None]) -> None:
 
 
 def _cmd_track(args) -> int:
+    _distinct_outputs(args, ("--out", args.out))
     xs = _load_xs(args)
     explicit = {field: getattr(args, flag) for flag, field in _FLAG_FIELDS.items()}
     config = RunConfig(kind=args.filter, k=args.k, tune=args.tune, **explicit)
@@ -301,6 +307,7 @@ def _cmd_track(args) -> int:
 
 
 def _cmd_tune(args) -> int:
+    _distinct_outputs(args, ("--out", args.out))
     xs = _load_xs(args)
     RunConfig(kind=args.filter, k=args.k, tune=True)
     report = METHODS[args.filter].tune(xs, args.k)
@@ -310,6 +317,7 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    _distinct_outputs(args, ("--out", args.out))
     scenario = parse_scenario_config(_read_text(args.scenario))
     path = generate_path(scenario, args.n, args.seed)
     _write(args.out, path_csv_text(path))
@@ -319,7 +327,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_bench(args) -> int:
     json_out = args.json_out if args.json_out else str(Path(args.out).with_suffix(".json"))
-    _distinct_outputs(("--out", args.out), ("--json-out", json_out))
+    _distinct_outputs(args, ("--out", args.out), ("--json-out", json_out))
     delta = _delta(args)
     series_set = {}
     for input_path in args.input:
@@ -339,9 +347,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
-    _distinct_outputs(
-        ("--out", args.out), ("--json-out", args.json_out), ("--plot-out", args.plot_out)
-    )
+    plot = ("--plot-out", args.plot_out)
+    _distinct_outputs(args, ("--out", args.out), ("--json-out", args.json_out), plot)
     scenario = parse_scenario_config(_read_text(args.scenario))
     result = convergence_experiment(
         scenario,
@@ -364,7 +371,7 @@ def _cmd_convergence(args) -> int:
 
 
 def _cmd_ordering(args) -> int:
-    _distinct_outputs(("--out", args.out), ("--json-out", args.json_out))
+    _distinct_outputs(args, ("--out", args.out), ("--json-out", args.json_out))
     scenario = parse_scenario_config(_read_text(args.scenario))
     result = ordering_agreement(
         scenario,

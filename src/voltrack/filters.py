@@ -17,12 +17,12 @@ final state.  run() folds it over the whole series and step_* over one
 observation, so run equals the composition of steps by construction;
 residuals and S_n are formed from the predictions afterwards, in run()
 as one array subtraction and in step_* as x minus the prediction.  The
-k=0 fold keeps a coefficient form with the same float operations as
-its GARCH(1,1) twin, which makes that reduction exact bit for bit.  The
-k=1 fold is the general order-k update unrolled into two locals, in the
-same operation order, at under a third of the general loop's cost per
-step.  For fixed g the GARCH estimates are affine in K and a;
-_garch_basis returns the responses that the GARCH fit combines.
+k=0 level filter and GARCH(1,1) share one fold, the first-order
+recursion v' = c_v v + c + g x, so the twin holds bit for bit by
+construction.  The k=1 fold is the general order-k update unrolled into
+two locals, in the same operation order, at under a third of the
+general loop's cost per step.  The GARCH estimates are affine in K and
+a for fixed g; _garch_basis returns the responses that the fit combines.
 """
 
 from __future__ import annotations
@@ -163,27 +163,25 @@ def init_state(k: int, warmup: Sequence[float]) -> FilterState:
     return FilterState(v_hat=float(np.mean(w)), derivatives=(0.0,) * k, step_index=0)
 
 
-def _fold_adaptive(z, xs, g, a, level, n, estimates) -> list[float]:
-    """The order-k recursion, folded over xs from the state vector z.
+def _fold_first_order(v, xs, c_v, c, g, estimates) -> float:
+    """The recursion v' = c_v v + c + g x, folded over xs from v: appends
+    the prediction of each x to estimates and returns the final v."""
+    for x in xs:
+        estimates.append(v)
+        v = c_v * v + c + g * x
+    return v
 
-    z is [v_hat, d_1, ..., d_k]; g are the step gains, a the relaxation
-    coefficients, level the long-run level K and n the schedule length.
-    The prediction of each x in xs is appended to estimates.  Returns the
-    state vector after the last observation.
-    """
-    k = len(z) - 1
+
+def _fold_adaptive(z, xs, schedule, ext, estimates) -> list[float]:
+    """The order-k recursion, folded over xs from z = [v_hat, d_1, ..., d_k]:
+    appends the prediction of each x to estimates and returns the final z."""
+    g, n = schedule.step_gains.tolist(), schedule.n
+    a, level, k = ext.a_coeffs, ext.k_level, len(z) - 1
     if k == 0:
-        # Coefficient form of (1 - a_1/n) v + (a_1/n) K + g_0 (x - v);
-        # arranged so the GARCH(1,1) twin with K=0, g_1 = 1 - g_0, a_1 = g_0
-        # runs the same float arithmetic and matches it bit for bit.
-        coef_v = 1.0 - a[0] / n - g[0]
-        coef_k = a[0] / n
-        g0 = g[0]
-        v = z[0]
-        for x in xs:
-            estimates.append(v)
-            v = coef_v * v + coef_k * level + g0 * x
-        return [v]
+        # (1 - a_1/n) v + (a_1/n) K + g_0 (x - v) in coefficient form: the
+        # GARCH(1,1) twin has K' = (a_1/n) K, g_1 = c_v and a_1 = g_0.
+        c_v = 1.0 - a[0] / n - g[0]
+        return [_fold_first_order(z[0], xs, c_v, a[0] / n * level, g[0], estimates)]
     damp = 1.0 - a[0] / n
     a_over_n = [c / n for c in a]
     level_term = a_over_n[k] * level
@@ -219,11 +217,16 @@ def _fold_garch(est, obs, xs, params: GarchParams) -> None:
 
     est holds at least p prior estimates and obs at least q-1 prior
     observations, most recent last.  Each step appends its new estimate
-    to est and its observation to obs, so the prediction of xs[i] is the
-    estimate that stood last in est before that step.
+    to est, so the prediction of xs[i] is the estimate that stood last in
+    est before that step, and for q > 1 its observation to obs.  GARCH(1,1)
+    is the first-order fold: (g_1 v + K) + a_1 x rounds like (K + g_1 v) + a_1 x.
     """
     p, q = params.p, params.q
     k_const, g, a = params.k_const, params.g_coeffs, params.a_coeffs
+    if p == q == 1:
+        v = est.pop()
+        est.append(_fold_first_order(v, xs, g[0], k_const, a[0], est))
+        return
     for x in xs:
         acc = k_const
         for j in range(1, p + 1):
@@ -231,8 +234,6 @@ def _fold_garch(est, obs, xs, params: GarchParams) -> None:
         acc = acc + a[0] * x
         for m in range(2, q + 1):
             acc = acc + a[m - 1] * obs[1 - m]
-        if acc < 0.0:
-            acc = 0.0
         est.append(acc)
         obs.append(x)
 
@@ -242,10 +243,9 @@ def _garch_basis(x_arr: np.ndarray, g_coeffs: Sequence[float], q: int) -> np.nda
 
     Column 0 is the estimate path with K = a = 0 (only the pre-sample
     values x[0] drive it), column 1 the response to K = 1 and column
-    1 + m the response to a_m = 1, with run()'s pre-sample padding.
-    Without the zero floor the estimates of GARCH(p, q) with these g are
-    column 0 + K column 1 + sum_m a_m column (1 + m), up to rounding; the
-    floor never fires when x, K and the coefficients are all non-negative.
+    1 + m the response to a_m = 1, with run()'s pre-sample padding.  The
+    estimates of GARCH(p, q) with these g are column 0 + K column 1 +
+    sum_m a_m column (1 + m), up to rounding.
     """
     n, p = int(x_arr.size), len(g_coeffs)
     x0 = float(x_arr[0])
@@ -288,8 +288,7 @@ def step_adaptive(
         raise ValueError(f"schedule theta {schedule.theta} differs from theta {ext.theta}")
     if not math.isfinite(x):
         raise DataError(f"non-finite observation {x!r}")
-    z, g, n = [state.v_hat, *state.derivatives], schedule.step_gains, schedule.n
-    z = _fold_adaptive(z, (x,), g, ext.a_coeffs, ext.k_level, n, [])
+    z = _fold_adaptive([state.v_hat, *state.derivatives], (x,), schedule, ext, [])
     return FilterState(z[0], tuple(z[1:]), state.step_index + 1), x - state.v_hat
 
 
@@ -303,8 +302,8 @@ def step_garch(
     history is a pair (estimates, observations), most recent last, with
     at least p prior estimates and q-1 prior observations.  The new
     estimate is K + sum_j g_j v[i-j] + a_1 x + sum_{m>=2} a_m X[i+1-m],
-    summed in that order and floored at zero; the residual compares x
-    with the latest estimate.
+    summed in that order; the residual compares x with the latest
+    estimate.
     """
     est_hist, obs_hist = history
     p, q = params.p, params.q
@@ -351,10 +350,9 @@ def run(xs: Sequence[float], params: ExtendedParams | GarchParams) -> TrackResul
             raise ValueError("a_coeffs must stay well below n (max coefficient < n/10)")
         if abs(params.k_level) >= n:
             raise ValueError("k_level magnitude must stay below n")
-        g = [float(t) for t in gain_schedule(params.k, params.theta, n).step_gains]
-        state = init_state(params.k, x_arr[: _warmup_count(n)])
-        z, preds = [state.v_hat, *state.derivatives], []
-        _fold_adaptive(z, obs, g, params.a_coeffs, params.k_level, n, preds)
+        schedule = gain_schedule(params.k, params.theta, n)
+        state, preds = init_state(params.k, x_arr[: _warmup_count(n)]), []
+        _fold_adaptive([state.v_hat, *state.derivatives], obs, schedule, params, preds)
     else:
         raise ValueError(f"unsupported parameter type {type(params).__name__}")
     estimates = np.array(preds)

@@ -506,11 +506,6 @@ def fit_garch(xs: Sequence[float], p: int = 1, q: int = 1) -> TuningReport:
     and refines the 8 best grid points by Nelder-Mead; each refinement is
     one trace stage.  Every value the search sees is a full run, and only
     these feasible runs enter the report, so best_sn is run(best_params).s_n.
-
-    The profile is exact for non-negative observations, as squared
-    returns always are: the recursion's zero floor then never fires.  A
-    series with negative values can trip the floor; the fit is then a
-    heuristic, though best_sn is still the S_n of a real run.
     """
     if p not in (1, 2) or q not in (1, 2):
         raise ValueError(f"p and q must be 1 or 2, got p={p}, q={q}")

@@ -66,7 +66,7 @@ def write_prices(tmp_path, name="prices.csv", count=60, two_column=False, seed=9
 
 
 class TestLoadPrices:
-    @settings(derandomize=True, max_examples=30, deadline=None, database=None)
+    @settings(max_examples=30)
     @given(
         st.integers(2, 400),
         st.integers(0, 2**32 - 1),
@@ -662,6 +662,75 @@ def assert_refused_collision(tmp_path, capsys, code, flags):
     assert code == 1
     assert err == f"error: {flags[0]} and {flags[1]} both name {tmp_path / 'x.csv'}\n"
     assert sorted(os.listdir(tmp_path)) == ["scenario.cfg"]
+
+
+class TestOutputOnInput:
+    # An output that names an input file is refused before the input is
+    # read, so the input is left as it was.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["track", "--filter", "filter0", "--theta", "1"],
+            ["tune", "--filter", "filter0"],
+            ["bench"],
+        ],
+        ids=["track", "tune", "bench"],
+    )
+    def test_out_on_price_input_exits_one(self, tmp_path, capsys, argv):
+        path = write_prices(tmp_path, count=120)
+        before = Path(path).read_bytes()
+        code = main([*argv, "--input", path, "--out", path])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: --input and --out both name {path}\n"
+        assert Path(path).read_bytes() == before
+        assert os.listdir(tmp_path) == ["prices.csv"]
+
+    def test_bench_json_out_on_second_input_exits_one(self, tmp_path, capsys):
+        first = write_prices(tmp_path, name="a.csv", count=120)
+        second = write_prices(tmp_path, name="b.csv", count=120)
+        code = main(
+            ["bench", "--input", first, second, "--out", str(tmp_path / "o.csv"),
+             "--json-out", second]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --input and --json-out both name {second}\n"
+        assert sorted(os.listdir(tmp_path)) == ["a.csv", "b.csv"]
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["simulate", "--n", "50"], "--out"),
+            (["track", "--n", "300", "--filter", "filter0", "--theta", "1"], "--out"),
+            (["convergence", "--n", "400,1200", "--seeds", "2"], "--out"),
+            (["ordering", "--theta-grid", "0.5,1", "--n", "500", "--seeds", "2"],
+             "--json-out"),
+        ],
+        ids=["simulate", "track", "convergence", "ordering"],
+    )
+    def test_out_on_scenario_exits_one(self, tmp_path, capsys, argv, flag):
+        scenario = write_scenario(tmp_path)
+        outs = {"--out": str(tmp_path / "o.csv"), flag: scenario}
+        code = main([*argv, "--scenario", scenario, *(a for o in outs.items() for a in o)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --scenario and {flag} both name {scenario}\n"
+        assert Path(scenario).read_text() == SCENARIO_TEXT
+        assert os.listdir(tmp_path) == ["scenario.cfg"]
+
+    def test_redirected_out_may_share_an_input_name(self, tmp_path, monkeypatch, capsys):
+        # a bare --out lands in $VOLTRACK_OUT_DIR, not on the input it names
+        out_dir = tmp_path / "outputs"
+        out_dir.mkdir()
+        monkeypatch.setenv("VOLTRACK_OUT_DIR", str(out_dir))
+        monkeypatch.chdir(tmp_path)
+        write_scenario(tmp_path)
+        assert main(
+            ["simulate", "--scenario", "scenario.cfg", "--n", "50", "--out", "scenario.cfg"]
+        ) == 0
+        assert (tmp_path / "scenario.cfg").read_text() == SCENARIO_TEXT
+        assert (out_dir / "scenario.cfg").read_text().startswith("t,price,")
+        capsys.readouterr()
 
 
 class TestConvergence:

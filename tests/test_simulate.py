@@ -429,7 +429,7 @@ def scenarios(draw):
 
 
 class TestScenarioConfigProperties:
-    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @settings(max_examples=60)
     @given(scenarios())
     def test_format_then_parse_is_identity(self, scen):
         assert parse_scenario_config(format_scenario_config(scen)) == scen

@@ -226,7 +226,7 @@ def scaled_series(draw):
     return scale * rng.standard_normal(size) ** 2
 
 
-@settings(derandomize=True, max_examples=15, deadline=None, database=None)
+@settings(max_examples=15)
 @given(scaled_series(), st.sampled_from((tune_filter0, tune_filter1, tune_filter2)))
 def test_level_tuners_report_a_real_run_or_raise(xs, tuner):
     try:
@@ -343,7 +343,7 @@ def feasible_k_a(data, q, cap, center=None):
 class TestGarchProfile:
     """The inner solve of fit_garch: exact least-squares K and a for fixed g."""
 
-    @settings(derandomize=True, max_examples=30, deadline=None, database=None)
+    @settings(max_examples=30)
     @given(garch_profile_cases(), st.data())
     def test_solved_k_a_beats_random_feasible_choices(self, case, data):
         xs, p, q, g = case
