@@ -270,16 +270,21 @@ def _write(path, text: str) -> None:
 
 def _distinct_outputs(args, *flag_paths: tuple[str, str | None]) -> None:
     """Refuse an output flag that names an input file (--input, each bench
-    --input, --scenario) or another output's file, before any work is done."""
+    --input, --scenario) or another output's file, before any work is done.
+
+    An input is the file its links lead to.  An output is resolved only
+    up to its directory: the write replaces a link there, not its target.
+    """
     seen = {}
     for flag in ("--input", "--scenario"):
         paths = getattr(args, flag[2:], None)
         for path in [paths] if isinstance(paths, str) else paths or ():
-            seen[os.path.abspath(path)] = flag
+            seen[os.path.realpath(path)] = flag
     for flag, path in flag_paths:
         if path is None:
             continue
-        target = os.path.abspath(resolve_out_path(path))
+        head, tail = os.path.split(os.path.abspath(resolve_out_path(path)))
+        target = os.path.join(os.path.realpath(head), tail)
         if target in seen:
             raise ValueError(f"{seen[target]} and {flag} both name {target}")
         seen[target] = flag

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import VoltrackError
 from .filters import ExtendedParams, run
 from .ioutil import float_repr
-from .simulate import Scenario, decomposition_diagnostics, generate_path
+from .simulate import Scenario, decomposition_diagnostics, sample_paths
 from .tuning import TuningReport, fit_garch, tune_filter0, tune_filter1, tune_filter2
 
 __all__ = [
@@ -150,10 +150,11 @@ def burn_in_index(n: int, k: int, c: float = 1.0) -> int:
         raise ValueError(f"sample size n must be at least 2, got {n}")
     if k < 0:
         raise ValueError(f"smoothness order k must be non-negative, got {k}")
-    if not c > 0.0:
-        raise ValueError(f"scale factor c must be positive, got {c}")
+    if not (math.isfinite(c) and c > 0.0):
+        raise ValueError(f"scale factor c must be positive and finite, got {c}")
     exponent = (2.0 * k + 2.0) / (2.0 * k + 3.0)
-    return min(math.ceil(c * n**exponent), n // 4)
+    # the cap before the ceiling, so a layer that overflows to inf is capped too
+    return math.ceil(min(c * n**exponent, n // 4))
 
 
 def vn_metric(v_true, estimates, burn_in: int) -> float:
@@ -185,7 +186,8 @@ def convergence_experiment(
     For each n, theta is tuned once on a held-out path (seed outside the
     evaluation range) and the resulting pure order-k filter is evaluated
     on `seeds` fresh paths; the per-n means feed a least-squares slope in
-    log-log coordinates, compared against -2(k+1)/(2k+3).
+    log-log coordinates, compared against -2(k+1)/(2k+3).  All paths of
+    one n come from one sampler, which integrates the interval means once.
     """
     ns = [int(n) for n in n_values]
     if len(ns) < 3 or any(b <= a for a, b in zip(ns, ns[1:])):
@@ -194,17 +196,17 @@ def convergence_experiment(
         raise ValueError("n_values must span at least one decade")
     if seeds < 10:
         raise ValueError(f"need at least 10 seeds, got {seeds}")
+    burns = [burn_in_index(n, k, burn_c) for n in ns]
     mse_values = []
-    for idx, n in enumerate(ns):
-        held_out = generate_path(scenario, n, base_seed + seeds + idx)
-        theta = tune_filter0(held_out.xs, k).best_params.theta
-        params = _pure_params(k, theta)
-        burn = burn_in_index(n, k, burn_c)
-        per_seed = []
-        for j in range(seeds):
-            path = generate_path(scenario, n, base_seed + j)
-            result = run(path.xs, params)
-            per_seed.append(vn_metric(path.v_bar, result.estimates, burn))
+    for idx, (n, burn) in enumerate(zip(ns, burns)):
+        # the held-out path first, then one evaluation path at a time
+        paths = sample_paths(
+            scenario, n, [base_seed + seeds + idx, *range(base_seed, base_seed + seeds)]
+        )
+        params = _pure_params(k, tune_filter0(next(paths).xs, k).best_params.theta)
+        per_seed = [
+            vn_metric(path.v_bar, run(path.xs, params).estimates, burn) for path in paths
+        ]
         mse_values.append(float(np.mean(per_seed)))
     fitted = float(np.polyfit(np.log(ns), np.log(mse_values), 1)[0])
     theoretical = -2.0 * (k + 1.0) / (2.0 * k + 3.0)
@@ -239,7 +241,7 @@ def ordering_agreement(
     if seeds < 10:
         raise ValueError(f"need at least 10 seeds, got {seeds}")
     burn = burn_in_index(n, k, burn_c)
-    paths = [generate_path(scenario, n, base_seed + j) for j in range(seeds)]
+    paths = list(sample_paths(scenario, n, range(base_seed, base_seed + seeds)))
     sn_means, vn_means = [], []
     for theta in grid:
         params = _pure_params(k, theta)
@@ -282,13 +284,11 @@ def shift_sensitivity(
     """
     if seeds < 1:
         raise ValueError("need at least one seed")
-    held_out = generate_path(scenario, n, base_seed + seeds)
-    theta_hat = tune_filter0(held_out.xs, k).best_params.theta
-    params = _pure_params(k, theta_hat)
     burn = burn_in_index(n, k, burn_c)
+    paths = sample_paths(scenario, n, [base_seed + seeds, *range(base_seed, base_seed + seeds)])
+    params = _pure_params(k, tune_filter0(next(paths).xs, k).best_params.theta)
     rel_changes = []
-    for j in range(seeds):
-        path = generate_path(scenario, n, base_seed + j)
+    for path in paths:
         shift = decomposition_diagnostics(scenario, path).theta
         raw = vn_metric(path.v_bar, run(path.xs, params).estimates, burn)
         shifted = vn_metric(

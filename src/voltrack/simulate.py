@@ -8,6 +8,12 @@ integrals (composite Simpson, 16 panels per interval), which is exact
 for constant and linear specs and accurate far beyond the statistical
 noise for sinusoids.
 
+`sample_paths` is the one sampler: it integrates the interval means of
+a scenario once per sample size and draws every seed's path from them,
+so the paths of one (scenario, n) share their read-only v_bar and
+mu_bar.  `generate_path` is its one-seed case.  A path whose prices or
+observations leave the float range raises ScenarioError.
+
 The random generator is numpy's default PCG64 seeded explicitly, so
 paths are reproducible bit for bit per seed.
 """
@@ -15,7 +21,8 @@ paths are reproducible bit for bit per seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 from scipy import integrate
@@ -29,6 +36,7 @@ __all__ = [
     "PathResult",
     "NoiseDecomposition",
     "generate_path",
+    "sample_paths",
     "compute_heteroscedasticity",
     "decomposition_diagnostics",
     "parse_scenario_config",
@@ -119,8 +127,8 @@ class FuncSpec:
 class Scenario:
     """Drift and volatility descriptors plus horizon and initial price.
 
-    The volatility spec must be strictly positive and the drift strictly
-    positive and bounded; both are checked on a dense grid over [0, T].
+    The volatility and drift specs must be finite and strictly positive;
+    both are checked on a dense grid over [0, T].
     """
 
     mu_spec: FuncSpec
@@ -134,12 +142,14 @@ class Scenario:
         if not (math.isfinite(self.s0) and self.s0 > 0.0):
             raise ScenarioError("s0 must be positive and finite")
         grid = np.linspace(0.0, self.horizon_t, 2049)
-        v = self.v_spec.values(grid)
+        # a value that overflows is refused below as not finite
+        with np.errstate(all="ignore"):
+            v = self.v_spec.values(grid)
+            mu = self.mu_spec.values(grid)
         if not np.all(np.isfinite(v)) or np.any(v <= 0.0):
-            raise ScenarioError("volatility spec must be strictly positive on [0, T]")
-        mu = self.mu_spec.values(grid)
+            raise ScenarioError("volatility spec must be finite and strictly positive on [0, T]")
         if not np.all(np.isfinite(mu)) or np.any(mu <= 0.0):
-            raise ScenarioError("drift spec must be strictly positive on [0, T]")
+            raise ScenarioError("drift spec must be finite and strictly positive on [0, T]")
 
     @property
     def smoothness_order(self) -> float:
@@ -201,29 +211,55 @@ def _interval_means(
     return out
 
 
-def generate_path(scenario: Scenario, n: int, seed: int) -> PathResult:
-    """Sample a price path of n intervals from the scenario.
+def sample_paths(scenario: Scenario, n: int, seeds: Iterable[int]) -> Iterator[PathResult]:
+    """Yield one price path of n intervals per seed, in the order given.
 
-    Log-return i is drawn as Normal(delta*(mu_bar[i] - v_bar[i]/2),
-    delta*v_bar[i]); the observation series is then recomputed from the
-    realized prices so it reconstructs exactly.
+    The interval means are integrated once and shared, read-only, by
+    every path.  Log-return i is drawn as Normal(delta*(mu_bar[i] -
+    v_bar[i]/2), delta*v_bar[i]); the observation series is then
+    recomputed from the realized prices so it reconstructs exactly.
     """
     if n < 2:
         raise ValueError(f"sample size n must be at least 2, got {n}")
     delta = scenario.horizon_t / n
-    v_bar = _interval_means(scenario.v_spec, scenario.horizon_t, n, require_positive=True)
-    mu_bar = _interval_means(scenario.mu_spec, scenario.horizon_t, n)
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(n)
-    log_returns = delta * (mu_bar - 0.5 * v_bar) + np.sqrt(delta * v_bar) * z
-    log_prices = math.log(scenario.s0) + np.cumsum(log_returns)
-    prices = np.concatenate(([scenario.s0], np.exp(log_prices)))
-    xs = compute_heteroscedasticity(prices, delta)
-    for arr in (prices, xs, v_bar, mu_bar):
-        arr.setflags(write=False)
-    return PathResult(
-        prices=prices, xs=xs, v_bar=v_bar, mu_bar=mu_bar, delta=delta, seed=int(seed)
-    )
+    if delta == 0.0:
+        raise ScenarioError(f"interval length T/n underflows to zero at n = {n}")
+    with np.errstate(all="ignore"):
+        v_bar = _interval_means(scenario.v_spec, scenario.horizon_t, n, require_positive=True)
+        mu_bar = _interval_means(scenario.mu_spec, scenario.horizon_t, n)
+        drift = delta * (mu_bar - 0.5 * v_bar)
+        scale = np.sqrt(delta * v_bar)
+    v_bar.setflags(write=False)
+    mu_bar.setflags(write=False)
+    log_s0 = math.log(scenario.s0)
+    for seed in seeds:
+        z = np.random.default_rng(seed).standard_normal(n)
+        # an overflow shows as a price or observation out of range, refused below
+        with np.errstate(all="ignore"):
+            log_prices = log_s0 + np.cumsum(drift + scale * z)
+            prices = np.concatenate(([scenario.s0], np.exp(log_prices)))
+            _refuse_out_of_range(np.isfinite(prices[1:]) & (prices[1:] > 0.0), "price")
+            xs = compute_heteroscedasticity(prices, delta)
+            _refuse_out_of_range(np.isfinite(xs), "observation")
+        prices.setflags(write=False)
+        xs.setflags(write=False)
+        yield PathResult(
+            prices=prices, xs=xs, v_bar=v_bar, mu_bar=mu_bar, delta=delta, seed=int(seed)
+        )
+
+
+def _refuse_out_of_range(ok: np.ndarray, what: str) -> None:
+    """Raise ScenarioError naming the first interval where ok is False."""
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        raise ScenarioError(
+            f"simulated {what} leaves the float range in interval {int(bad[0])}"
+        )
+
+
+def generate_path(scenario: Scenario, n: int, seed: int) -> PathResult:
+    """Sample the price path of n intervals for one seed (see sample_paths)."""
+    return next(sample_paths(scenario, n, (seed,)))
 
 
 def compute_heteroscedasticity(prices, delta: float) -> np.ndarray:

@@ -5,6 +5,8 @@ numbers, byte comparison of repeated runs, and cross-checks of written
 files against the in-memory API on the same inputs.
 """
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -554,6 +556,49 @@ class TestMethodTable:
         assert capsys.readouterr().out == f"best_sn = {s_n}\n"
 
 
+def _extreme_floats():
+    """Positive floats from the smallest subnormal to the largest double."""
+    return st.floats(min_value=5e-324, max_value=1.7976931348623157e308)
+
+
+@st.composite
+def _extreme_spec(draw, prefix: str) -> str:
+    """Config lines of a spec with extreme levels, amplitudes or slopes."""
+    kind = draw(st.sampled_from(["constant", "linear", "sinusoid", "regime_switch"]))
+    lines = [f"{prefix}.kind = {kind}"]
+    if kind == "constant":
+        params = [draw(_extreme_floats())]
+    elif kind == "linear":
+        params = [draw(_extreme_floats()), draw(_extreme_floats())]
+    elif kind == "sinusoid":
+        base = draw(_extreme_floats())
+        amp = draw(st.one_of(_extreme_floats(), st.just(0.0))) * draw(st.sampled_from([1, -1]))
+        params = [base, amp, draw(st.floats(0.0, 50.0)), draw(st.floats(-10.0, 10.0))]
+    else:
+        levels = draw(st.lists(_extreme_floats(), min_size=1, max_size=3))
+        breaks = sorted(
+            draw(st.lists(st.floats(0.0, 1.0), min_size=len(levels) - 1,
+                          max_size=len(levels) - 1, unique=True))
+        )
+        lines.append(f"{prefix}.levels = " + ", ".join(map(repr, levels)))
+        lines.append(f"{prefix}.breakpoints = " + ", ".join(map(repr, breaks)))
+        return "\n".join(lines)
+    lines.append(f"{prefix}.params = " + ", ".join(map(repr, params)))
+    return "\n".join(lines)
+
+
+@st.composite
+def extreme_configs(draw) -> str:
+    """Scenario config text with extreme s0, T, levels and amplitudes."""
+    lines = [
+        f"T = {draw(_extreme_floats())!r}",
+        f"s0 = {draw(_extreme_floats())!r}",
+        draw(_extreme_spec("mu")),
+        draw(_extreme_spec("v")),
+    ]
+    return "\n".join(lines) + "\n"
+
+
 class TestSimulate:
     def test_reruns_are_byte_identical(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path)
@@ -615,6 +660,30 @@ class TestSimulate:
             x_est = float(est_line.split(",")[1])
             assert x_sim == x_est
         capsys.readouterr()
+
+    @settings(max_examples=200)
+    @given(extreme_configs(), st.integers(2, 300), st.integers(0, 2**32 - 1))
+    def test_extreme_configs_exit_cleanly(self, config, n, seed):
+        # a scenario that validates may still simulate prices beyond the
+        # float range; that is one error line, never a traceback or warning
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = Path(tmp, "s.cfg"), Path(tmp, "path.csv")
+            cfg.write_text(config)
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(["simulate", "--scenario", str(cfg), "--n", str(n),
+                             "--seed", str(seed), "--out", str(out)])
+            err = stderr.getvalue()
+            if code == 1:
+                assert err.startswith("error: ") and err.count("\n") == 1
+                assert not out.exists()
+                return
+            assert code == 0 and err == ""
+            rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+        assert len(rows) == n
+        values = np.array([row[1:] for row in rows], dtype=float)
+        assert np.all(np.isfinite(values))
+        assert np.all(values[:, 0] > 0.0)
 
 
 class TestBench:
@@ -684,6 +753,36 @@ class TestOutputOnInput:
         assert capsys.readouterr().err == f"error: --input and --out both name {path}\n"
         assert Path(path).read_bytes() == before
         assert os.listdir(tmp_path) == ["prices.csv"]
+
+    @pytest.mark.parametrize("via", ["file", "directory"])
+    def test_out_on_an_input_reached_through_a_link_exits_one(self, tmp_path, capsys, via):
+        path = write_prices(tmp_path, name="p.csv", count=120)
+        before = Path(path).read_bytes()
+        if via == "file":
+            (tmp_path / "q.csv").symlink_to("p.csv")
+            argv = ["--input", str(tmp_path / "q.csv"), "--out", path]
+        else:
+            (tmp_path / "d").symlink_to(".")
+            argv = ["--input", path, "--out", str(tmp_path / "d" / "p.csv")]
+        code = main(["track", "--filter", "filter0", "--theta", "1", *argv])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: --input and --out both name {path}\n"
+        assert Path(path).read_bytes() == before
+
+    def test_out_on_a_link_to_the_input_replaces_the_link(self, tmp_path, capsys):
+        # the write renames over the link itself, so the input it led to is kept
+        path = write_prices(tmp_path, name="p.csv", count=120)
+        before = Path(path).read_bytes()
+        link = tmp_path / "q.csv"
+        link.symlink_to("p.csv")
+        code = main(
+            ["track", "--filter", "filter0", "--theta", "1", "--input", path, "--out", str(link)]
+        )
+        assert code == 0
+        assert Path(path).read_bytes() == before
+        assert not link.is_symlink()
+        assert link.read_text().startswith("index,x,v_hat,residual\n")
+        capsys.readouterr()
 
     def test_bench_json_out_on_second_input_exits_one(self, tmp_path, capsys):
         first = write_prices(tmp_path, name="a.csv", count=120)
@@ -760,6 +859,18 @@ class TestConvergence:
         doc = json.loads(json_out.read_text())
         assert doc["kind"] == "convergence"
         assert len(plot_out.read_text().strip().split("\n")) == 3
+
+    def test_infinite_burn_in_scale_exits_one(self, tmp_path, capsys):
+        scenario = write_scenario(tmp_path)
+        out = tmp_path / "c.csv"
+        code = main(
+            ["convergence", "--scenario", scenario, "--seeds", "10", "--n", "100,400,1600",
+             "--burn-c", "inf", "--out", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: scale factor c must be positive and finite, got inf\n"
+        assert not out.exists()
 
     def test_plot_out_on_out_exits_one(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path)

@@ -68,6 +68,15 @@ class TestBurnInIndex:
         with pytest.raises(ValueError):
             burn_in_index(100, 0, c=0.0)
 
+    @pytest.mark.parametrize("c", [math.inf, math.nan])
+    def test_non_finite_scale_factor_rejected(self, c):
+        with pytest.raises(ValueError, match="positive and finite"):
+            burn_in_index(100, 0, c=c)
+
+    def test_overflowing_layer_is_capped(self):
+        # 1e308 * 100^(2/3) overflows to inf; the cap still applies
+        assert burn_in_index(100, 0, c=1e308) == 25
+
 
 class TestVnMetric:
     def test_identical_sequences_give_zero(self):

@@ -25,7 +25,9 @@ from voltrack import (
     generate_path,
     parse_scenario_config,
     path_csv_text,
+    sample_paths,
 )
+from voltrack.simulate import _interval_means
 
 CONST = Scenario(
     mu_spec=FuncSpec("constant", (0.05,)),
@@ -215,8 +217,6 @@ class TestGeneratePath:
         # Positive on the scenario grid but dipping negative between
         # check points cannot happen for these kinds at n this small, so
         # instead drive the quadrature directly onto a sign change.
-        from voltrack.simulate import _interval_means
-
         spec = FuncSpec("linear", (0.001, -0.01))
         with pytest.raises(ScenarioError, match="interval"):
             _interval_means(spec, 1.0, 4, require_positive=True)
@@ -450,3 +450,106 @@ class TestPathCsv:
             assert float(price) == path.prices[i + 1]
             assert float(x) == path.xs[i]
             assert float(v_bar) == path.v_bar[i]
+
+
+def reference_path(scenario, n, seed):
+    """One seed's path, written out plainly with its own quadrature: the
+    arithmetic sample_paths must reproduce bit for bit.  Returns the
+    prices and either the observations or the DataError they raise."""
+    delta = scenario.horizon_t / n
+    v_bar = _interval_means(scenario.v_spec, scenario.horizon_t, n, require_positive=True)
+    mu_bar = _interval_means(scenario.mu_spec, scenario.horizon_t, n)
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(n)
+    log_returns = delta * (mu_bar - 0.5 * v_bar) + np.sqrt(delta * v_bar) * z
+    log_prices = math.log(scenario.s0) + np.cumsum(log_returns)
+    prices = np.concatenate(([scenario.s0], np.exp(log_prices)))
+    try:
+        xs = compute_heteroscedasticity(prices, delta)
+    except DataError as exc:
+        xs = exc
+    return prices, xs, v_bar, mu_bar, delta
+
+
+def assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+class TestSamplePaths:
+    @settings(max_examples=100)
+    @given(
+        scenarios(),
+        st.integers(2, 3000),
+        st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4).map(
+            lambda seeds: seeds + seeds[:1]
+        ),
+    )
+    def test_every_path_matches_the_reference_bit_for_bit(self, scen, n, seeds):
+        # out-of-range draws are allowed here; the sampler must refuse them
+        with np.errstate(all="ignore"):
+            expected = [reference_path(scen, n, seed) for seed in seeds]
+        paths = sample_paths(scen, n, seeds)
+        for seed, (prices, xs, v_bar, mu_bar, delta) in zip(seeds, expected):
+            if isinstance(xs, DataError):
+                # "non-positive price at index i": the end of interval i - 1
+                index = int(str(xs).rpartition(" ")[2])
+                with pytest.raises(ScenarioError, match=f"price .* interval {index - 1}$"):
+                    next(paths)
+                return
+            if not np.all(np.isfinite(xs)):
+                first = int(np.flatnonzero(~np.isfinite(xs))[0])
+                with pytest.raises(ScenarioError, match=f"observation .* interval {first}$"):
+                    next(paths)
+                return
+            path = next(paths)
+            for got, want in zip(
+                (path.prices, path.xs, path.v_bar, path.mu_bar), (prices, xs, v_bar, mu_bar)
+            ):
+                assert_same_bits(got, want)
+            assert path.delta == delta
+            assert path.seed == seed
+        assert next(paths, None) is None
+        # generate_path is the one-seed case
+        one = generate_path(scen, n, seeds[0])
+        assert_same_bits(one.prices, expected[0][0])
+        assert_same_bits(one.xs, expected[0][1])
+
+    def test_paths_share_read_only_interval_means(self):
+        a, b, c = sample_paths(SINU, 200, [3, 4, 3])
+        assert a.v_bar is b.v_bar is c.v_bar
+        assert a.mu_bar is b.mu_bar is c.mu_bar
+        assert np.array_equal(a.prices, c.prices)
+        assert not np.array_equal(a.prices, b.prices)
+        for arr in (a.v_bar, a.mu_bar, a.prices, a.xs):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+
+    def test_checks_run_before_the_first_path(self):
+        with pytest.raises(ValueError, match="at least 2"):
+            next(sample_paths(CONST, 1, [0]))
+        assert list(sample_paths(CONST, 10, [])) == []
+
+    @pytest.mark.parametrize(
+        "scen, n, match",
+        [
+            # the drift carries the price past the largest float
+            (Scenario(FuncSpec("constant", (5.0,)), CONST.v_spec, s0=1e308), 100,
+             "price leaves the float range in interval 11$"),
+            # the volatility drives it below the smallest one at once
+            (Scenario(CONST.mu_spec, FuncSpec("constant", (1e300,))), 100,
+             "price leaves the float range in interval 0$"),
+            # a jump of e^750 between two prices in range overflows their ratio
+            (Scenario(
+                FuncSpec("regime_switch", levels=(1500.0, 1e-9), breakpoints=(0.5,)),
+                CONST.v_spec,
+                s0=1e-320,
+            ), 2, "observation leaves the float range in interval 0$"),
+            (Scenario(CONST.mu_spec, CONST.v_spec, horizon_t=5e-324), 100,
+             "T/n underflows to zero at n = 100$"),
+        ],
+        ids=["overflow", "underflow", "observation", "interval"],
+    )
+    def test_path_out_of_float_range_is_a_scenario_error(self, scen, n, match):
+        with pytest.raises(ScenarioError, match=match):
+            generate_path(scen, n, seed=0)
