@@ -48,6 +48,10 @@ _KINDS = ("constant", "linear", "sinusoid", "regime_switch", "sum")
 _PARAM_COUNTS = {"constant": 1, "linear": 2, "sinusoid": 4}
 _QUAD_PANELS = 16
 _QUAD_BLOCK = 32768  # intervals per quadrature block, so huge paths stay cheap on memory
+# Simpson's weighted sums reach 48 times a node value; scaling by an exact
+# power of two keeps them finite up to the float maximum, and changes no
+# bit of any result whose scaled values stay normal.
+_QUAD_SCALE = 2.0**-6
 
 
 @dataclass(frozen=True)
@@ -203,11 +207,12 @@ def _interval_means(
         stop = min(count, start + _QUAD_BLOCK)
         t0 = np.arange(start, stop, dtype=float) * delta
         nodes = t0[:, None] + offsets[None, :]
-        y = spec.values(nodes)
+        y = np.asarray(spec.values(nodes), dtype=float)
         if require_positive and np.any(y <= 0.0):
             bad = int(start + np.argwhere(y <= 0.0)[0][0])
             raise ScenarioError(f"volatility non-positive inside interval {bad}")
-        out[start:stop] = integrate.simpson(y, dx=h, axis=1) / delta
+        y *= _QUAD_SCALE  # in place: a scaled copy would double the block's memory
+        out[start:stop] = integrate.simpson(y, dx=h, axis=1) / delta / _QUAD_SCALE
     return out
 
 

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -25,7 +25,13 @@ from voltrack import (
     step_adaptive,
     step_garch,
 )
-from voltrack.filters import _garch_basis, _warmup_count
+from voltrack.filters import (
+    _first_order,
+    _fold_first_order,
+    _garch_basis,
+    _level_first_order,
+    _warmup_count,
+)
 
 
 def stable_a(k: int) -> tuple[float, ...]:
@@ -287,6 +293,56 @@ class TestOrderOneFold:
         assert run(xs, ext).residuals.tobytes() == res.tobytes()
 
 
+# Observations that tell two evaluations of one recursion apart if either
+# mishandles a sign of zero, a subnormal or a negative value.
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308, -1.0]
+
+
+@st.composite
+def first_order_cases(draw):
+    """v0, a series and (c_v, c, g) of the k=0 level filter or GARCH(1,1)
+    with a zero constant, across the tuners' theta box [0.01, 1000]."""
+    n = draw(st.integers(2, 20_000))
+    values = st.sampled_from(_EDGE_VALUES) | st.floats(-10.0, 10.0)
+    pool = np.array(draw(st.lists(values, min_size=1, max_size=8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    share = draw(st.sampled_from([0.0, 0.05, 1.0]))
+    xs = np.where(rng.random(n) < share, rng.choice(pool, n), rng.normal(0.09, 0.1, n))
+    if draw(st.booleans()):
+        theta = draw(st.floats(0.01, 1000.0))
+        a1 = draw(st.just(0.0) | st.floats(0.0, n / 10, exclude_max=True))
+        level = draw(st.sampled_from([0.0, -0.0]))
+        ext = ExtendedParams(k=0, theta=theta, a_coeffs=(a1,), k_level=level)
+        coeffs = _level_first_order(gain_schedule(0, theta, n), ext)
+    else:
+        g1, a1 = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+        coeffs = (g1, 0.0, a1 * (1.0 - g1))
+    return draw(values), xs, *coeffs
+
+
+class TestCompiledFirstOrder:
+    @settings(max_examples=150, deadline=None)
+    @given(first_order_cases())
+    @example((-0.0, np.full(6, -0.0), 0.5, 0.0, 0.5))
+    @example((-0.0, np.array([-0.0, 1.0, -0.0, -0.0, -1.0]), 0.5, -0.0, 0.5))
+    # theta=1000 lies past the k=0 stability bound at n=4000: +-inf from
+    # step 658 on
+    @example(
+        (
+            0.09,
+            noisy_series(4000),
+            *_level_first_order(gain_schedule(0, 1000.0, 4000), ExtendedParams(0, 1000.0, (0.0,))),
+        )
+    )
+    def test_matches_the_python_fold_bit_for_bit(self, case):
+        # The guard against a kernel build that contracts c_v y + g x into a
+        # fused multiply-add, or that loses a sign of zero
+        v0, xs, c_v, c, g = case
+        expected = []
+        _fold_first_order(v0, xs.tolist(), c_v, c, g, expected)
+        assert _first_order(v0, xs, c_v, c, g).tobytes() == np.array(expected).tobytes()
+
+
 class TestStepGarch:
     def test_single_step_arithmetic(self):
         # 0.01 + 0.9 * 0.1 + 0.05 * 0.2 = 0.11.
@@ -333,11 +389,20 @@ class TestStepGarch:
 
 
 class TestRunAdaptive:
-    @pytest.mark.parametrize("k", range(5))
-    def test_run_equals_step_composition(self, k):
+    @pytest.mark.parametrize(
+        "k, a_coeffs, k_level",
+        [pytest.param(k, stable_a(k), 0.09, id=str(k)) for k in range(5)]
+        # K = 0 puts run() on the compiled first-order path, with and without
+        # relaxation
+        + [
+            pytest.param(0, (0.0,), 0.0, id="0-pure"),
+            pytest.param(0, (1.0,), 0.0, id="0-K0"),
+        ],
+    )
+    def test_run_equals_step_composition(self, k, a_coeffs, k_level):
         xs = noisy_series(800)
         n = xs.size
-        ext = ExtendedParams(k=k, theta=0.8, a_coeffs=stable_a(k), k_level=0.09)
+        ext = ExtendedParams(k=k, theta=0.8, a_coeffs=a_coeffs, k_level=k_level)
         result = run(xs, ext)
         sch = gain_schedule(k, ext.theta, n)
         st = init_state(k, xs[: _warmup_count(n)])
@@ -563,7 +628,7 @@ def garch_cases(draw):
     par = GarchParams(
         p=p,
         q=q,
-        k_const=draw(st.floats(0.0, 0.01)),
+        k_const=draw(st.just(0.0) | st.floats(0.0, 0.01)),
         g_coeffs=tuple(coeffs[:p]),
         a_coeffs=tuple(coeffs[p:]),
     )
@@ -574,6 +639,9 @@ def garch_cases(draw):
 class TestRunStepProperties:
     @_PROPERTY_SETTINGS
     @given(extended_cases())
+    # K = 0 puts run() on the compiled first-order path
+    @example((noisy_series(200, seed=5), ExtendedParams(0, 0.8, (0.0,))))
+    @example((noisy_series(200, seed=5), ExtendedParams(0, 0.8, (4.0,))))
     def test_run_equals_step_adaptive_composition(self, case):
         xs, ext = case
         n = xs.size
@@ -619,6 +687,7 @@ class TestRunStepProperties:
 
     @_PROPERTY_SETTINGS
     @given(garch_cases())
+    @example((noisy_series(300, seed=5), GarchParams(1, 1, 0.0, (0.7,), (0.3,))))
     def test_run_equals_step_garch_composition(self, case):
         xs, par = case
         result = run(xs, par)

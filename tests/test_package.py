@@ -36,14 +36,42 @@ def test_package_reexports_every_module_list():
             assert getattr(voltrack, name) is getattr(module, name)
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is imported only inside ordering_agreement, because it
-    # dominates the import time of every command that does not use it
-    code = "import sys, voltrack; print('scipy.stats' in sys.modules)"
+def run_fresh(code: str) -> str:
+    """Standard output of code run in a fresh interpreter."""
     proc = subprocess.run(
         [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    return proc.stdout
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is imported only inside ordering_agreement, because it
+    # dominates the import time of every command that does not use it
+    assert run_fresh("import sys, voltrack; print('scipy.stats' in sys.modules)") == "False\n"
+
+
+def test_compiled_first_order_loads_neither_scipy_signal_nor_scipy_stats():
+    # A pure k=0 run takes the compiled kernel from its extension file, so
+    # scipy.signal (whose __init__ loads scipy.stats) stays unloaded; the
+    # kernel is the private one, not the public lfilter as a fallback, and
+    # scipy.signal still imports and filters afterwards.
+    code = """
+import sys
+import voltrack
+from voltrack.filters import _linear_filter
+voltrack.run([0.1, 0.3, 0.2, 0.25], voltrack.ExtendedParams(k=0, theta=0.8, a_coeffs=(0.0,)))
+print('scipy.signal' in sys.modules, 'scipy.stats' in sys.modules)
+kernel = _linear_filter()
+print(kernel.__name__, kernel.__module__)
+import scipy.signal
+y, zf = scipy.signal.lfilter([0.0, 0.5], [1.0, -0.5], [1.0, 2.0, 4.0], zi=[0.25])
+print(y.tolist(), zf.tolist(), kernel is not scipy.signal.lfilter)
+"""
+    assert run_fresh(code) == (
+        "False False\n"
+        "_linear_filter scipy.signal._sigtools\n"
+        "[0.25, 0.625, 1.3125] [2.65625] True\n"
+    )

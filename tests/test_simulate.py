@@ -221,6 +221,22 @@ class TestGeneratePath:
         with pytest.raises(ScenarioError, match="interval"):
             _interval_means(spec, 1.0, 4, require_positive=True)
 
+    @pytest.mark.parametrize("value", [1e307, -1e307, np.finfo(float).max])
+    def test_interval_means_stay_finite_near_the_float_maximum(self, value):
+        # Simpson's weighted sums reach 48 times a node value; unscaled they
+        # overflowed to inf for finite values above about 1e307
+        means = _interval_means(FuncSpec("constant", (value,)), 1.0, 100)
+        assert np.all(np.isfinite(means))
+        assert_allclose(means, value, rtol=1e-15)
+
+    def test_integer_levels_integrate_like_floats(self):
+        # the quadrature scales the node values in place, which an integer
+        # array returned by FuncSpec.values could not hold
+        as_ints = FuncSpec("regime_switch", levels=(1, 2), breakpoints=(0.3,))
+        as_floats = FuncSpec("regime_switch", levels=(1.0, 2.0), breakpoints=(0.3,))
+        means = _interval_means(as_ints, 1.0, 10)
+        assert means.tobytes() == _interval_means(as_floats, 1.0, 10).tobytes()
+
 
 class TestHeteroscedasticity:
     def test_single_ratio_arithmetic(self):
