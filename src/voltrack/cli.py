@@ -2,11 +2,11 @@
 
 Subcommands, all run through ``main``: track, tune, simulate, bench,
 convergence, ordering.  A price CSV's label column is skipped, not
-stored.  Every output file is written atomically and uses shortest
-round-tripping float formatting, so a fixed seed gives byte-identical
-files across runs and a simulate -> track pipeline reproduces in-memory
-results exactly.  Bare output filenames are redirected into
-$VOLTRACK_OUT_DIR when it is set.
+stored.  Every output file is formatted by ioutil (csv_text, json_text)
+and written atomically, with shortest round-tripping float formatting,
+so a fixed seed gives byte-identical files across runs and a simulate
+-> track pipeline reproduces in-memory results exactly.  Bare output
+filenames are redirected into $VOLTRACK_OUT_DIR when it is set.
 
 Exit codes: 0 on success, 2 on usage errors (unknown subcommand or
 flag), 1 on data, scenario or tuning errors with a one-line diagnostic
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import os
 import sys
@@ -30,21 +29,13 @@ import numpy as np
 
 from .errors import DataError, VoltrackError
 from .evaluation import (
-    SCHEMA_VERSION,
     METHODS,
-    bench_csv_text,
-    bench_json_text,
     benchmark_report,
-    convergence_csv_text,
     convergence_experiment,
-    convergence_json_text,
-    convergence_plot_text,
     ordering_agreement,
-    ordering_csv_text,
-    ordering_json_text,
 )
 from .filters import ExtendedParams, GarchParams, run
-from .ioutil import atomic_write_text, float_repr, resolve_out_path
+from .ioutil import atomic_write_text, csv_text, float_repr, json_text, resolve_out_path
 from .simulate import (
     compute_heteroscedasticity,
     generate_path,
@@ -242,15 +233,18 @@ def _load_xs(args) -> np.ndarray:
     return generate_path(scenario, args.n, 0 if args.seed is None else args.seed).xs
 
 
+def _fields_doc(obj) -> dict:
+    """A dataclass's fields in order, as a JSON object."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
 def _params_doc(params) -> dict:
     kind = "extended" if isinstance(params, ExtendedParams) else "garch"
-    return {"kind": kind, **{f.name: getattr(params, f.name) for f in fields(params)}}
+    return {"kind": kind, **_fields_doc(params)}
 
 
 def _tuning_doc(kind: str, report) -> dict:
     return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "tuning",
         "filter": kind,
         "best_params": _params_doc(report.best_params),
         "best_sn": report.best_sn,
@@ -300,13 +294,8 @@ def _cmd_track(args) -> int:
     else:
         params = config.explicit_params()
     result = run(xs, params)
-    lines = ["index,x,v_hat,residual"]
-    for i in range(xs.size):
-        lines.append(
-            f"{i},{float_repr(xs[i])},{float_repr(result.estimates[i])},"
-            f"{float_repr(result.residuals[i])}"
-        )
-    _write(args.out, "\n".join(lines) + "\n")
+    columns = (range(xs.size), xs, result.estimates, result.residuals)
+    _write(args.out, csv_text(("index", "x", "v_hat", "residual"), *columns))
     print(f"s_n = {float_repr(result.s_n)}")
     return 0
 
@@ -316,7 +305,7 @@ def _cmd_tune(args) -> int:
     xs = _load_xs(args)
     RunConfig(kind=args.filter, k=args.k, tune=True)
     report = METHODS[args.filter].tune(xs, args.k)
-    _write(args.out, json.dumps(_tuning_doc(args.filter, report), indent=2) + "\n")
+    _write(args.out, json_text("tuning", _tuning_doc(args.filter, report)))
     print(f"best_sn = {float_repr(report.best_sn)}")
     return 0
 
@@ -344,10 +333,15 @@ def _cmd_bench(args) -> int:
             suffix += 1
         series_set[name] = compute_heteroscedasticity(series.prices, series.delta)
     report = benchmark_report(series_set)
-    _write(args.out, bench_csv_text(report))
-    doc = json.loads(bench_json_text(report))
-    doc["delta"] = delta
-    _write(json_out, json.dumps(doc, indent=2) + "\n")
+    rows = [
+        {"name": name, "n": n, "cells": dict(zip(report.columns, cells))}
+        for (name, n), cells in zip(report.rows, report.cells)
+    ]
+    # long format: one (series, method, sn) line per cell
+    long = [(row["name"], *cell) for row in rows for cell in row["cells"].items()]
+    _write(args.out, csv_text(("series", "method", "sn"), *zip(*long)))
+    doc = {"columns": list(report.columns), "rows": rows, "delta": delta}
+    _write(json_out, json_text("bench", doc))
     return 0
 
 
@@ -363,11 +357,16 @@ def _cmd_convergence(args) -> int:
         base_seed=args.base_seed,
         burn_c=args.burn_c,
     )
-    _write(args.out, convergence_csv_text(result))
+    _write(args.out, csv_text(("n", "mse"), result.n_values, result.mse_values))
     if args.json_out:
-        _write(args.json_out, convergence_json_text(result))
+        _write(args.json_out, json_text("convergence", _fields_doc(result)))
     if args.plot_out:
-        _write(args.plot_out, convergence_plot_text(result))
+        # (log n, log mse) pairs, ready for external plotting tools
+        lines = [
+            f"{math.log(n)!r} {math.log(mse)!r}\n"
+            for n, mse in zip(result.n_values, result.mse_values)
+        ]
+        _write(args.plot_out, "".join(lines))
     print(
         f"fitted slope = {float_repr(result.fitted_slope)} "
         f"(theoretical {float_repr(result.theoretical_slope)})"
@@ -387,9 +386,10 @@ def _cmd_ordering(args) -> int:
         base_seed=args.base_seed,
         burn_c=args.burn_c,
     )
-    _write(args.out, ordering_csv_text(result))
+    columns = (result.theta_grid, result.sn_values, result.vn_values)
+    _write(args.out, csv_text(("theta", "sn", "vn"), *columns))
     if args.json_out:
-        _write(args.json_out, ordering_json_text(result))
+        _write(args.json_out, json_text("ordering", _fields_doc(result)))
     match = "true" if result.argmin_match else "false"
     print(f"kendall tau = {float_repr(result.kendall_tau)}, argmin match = {match}")
     return 0

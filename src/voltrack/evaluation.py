@@ -15,16 +15,14 @@ n^{(2k+2)/(2k+3)}.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import VoltrackError
+from .errors import DataError, VoltrackError
 from .filters import ExtendedParams, run
-from .ioutil import float_repr
 from .simulate import Scenario, decomposition_diagnostics, sample_paths
 from .tuning import TuningReport, fit_garch, tune_filter0, tune_filter1, tune_filter2
 
@@ -41,16 +39,7 @@ __all__ = [
     "ordering_agreement",
     "shift_sensitivity",
     "benchmark_report",
-    "convergence_csv_text",
-    "convergence_json_text",
-    "convergence_plot_text",
-    "ordering_csv_text",
-    "ordering_json_text",
-    "bench_csv_text",
-    "bench_json_text",
 ]
-
-SCHEMA_VERSION = 1
 
 
 class Method(NamedTuple):
@@ -233,7 +222,8 @@ def ordering_agreement(
     Both losses are averaged over the same paths per theta; Kendall's
     tau between the two mean sequences quantifies how reliably sorting
     by S_n sorts by V_n, and argmin_match reports whether the two grid
-    minimizers coincide.
+    minimizers coincide.  A theta whose filter diverges (a non-finite S_n
+    or V_n on any path) raises DataError naming it.
     """
     grid = [float(t) for t in theta_grid]
     if len(grid) < 10 or any(b <= a for a, b in zip(grid, grid[1:])):
@@ -247,9 +237,17 @@ def ordering_agreement(
         params = _pure_params(k, theta)
         sns, vns = [], []
         for path in paths:
-            result = run(path.xs, params)
+            # a diverging run overflows; it is refused below, not warned about
+            with np.errstate(over="ignore", invalid="ignore"):
+                result = run(path.xs, params)
+                vn = vn_metric(path.v_bar, result.estimates, burn)
+            if not (math.isfinite(result.s_n) and math.isfinite(vn)):
+                raise DataError(
+                    f"the order-{k} filter diverges at theta = {theta!r} "
+                    f"on the path of seed {path.seed}"
+                )
             sns.append(result.s_n)
-            vns.append(vn_metric(path.v_bar, result.estimates, burn))
+            vns.append(vn)
         sn_means.append(float(np.mean(sns)))
         vn_means.append(float(np.mean(vns)))
     # imported here: scipy.stats is about 40% of the time `import voltrack` takes
@@ -324,65 +322,3 @@ def benchmark_report(series_set: Mapping[str, Sequence[float]]) -> BenchReport:
                 row_cells.append(None)
         cells.append(tuple(row_cells))
     return BenchReport(rows=tuple(rows), columns=BENCH_METHODS, cells=tuple(cells))
-
-
-# --- serialization ------------------------------------------------------------
-
-def convergence_csv_text(result: ConvergenceResult) -> str:
-    lines = ["n,mse"]
-    for n, mse in zip(result.n_values, result.mse_values):
-        lines.append(f"{n},{float_repr(mse)}")
-    return "\n".join(lines) + "\n"
-
-
-def convergence_plot_text(result: ConvergenceResult) -> str:
-    """Two columns (log n, log mse), ready for external plotting tools."""
-    lines = [
-        f"{float_repr(math.log(n))} {float_repr(math.log(mse))}"
-        for n, mse in zip(result.n_values, result.mse_values)
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def convergence_json_text(result: ConvergenceResult) -> str:
-    return _result_json_text("convergence", result)
-
-
-def ordering_csv_text(result: OrderingResult) -> str:
-    lines = ["theta,sn,vn"]
-    for theta, sn, vn in zip(result.theta_grid, result.sn_values, result.vn_values):
-        lines.append(f"{float_repr(theta)},{float_repr(sn)},{float_repr(vn)}")
-    return "\n".join(lines) + "\n"
-
-
-def ordering_json_text(result: OrderingResult) -> str:
-    return _result_json_text("ordering", result)
-
-
-def _result_json_text(kind: str, result) -> str:
-    """JSON document of an experiment result: its dataclass fields in order."""
-    doc = {"schema_version": SCHEMA_VERSION, "kind": kind}
-    doc.update((f.name, getattr(result, f.name)) for f in fields(result))
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def bench_csv_text(report: BenchReport) -> str:
-    lines = ["series,method,sn"]
-    for (name, _), row in zip(report.rows, report.cells):
-        for method, cell in zip(report.columns, row):
-            value = "" if cell is None else float_repr(cell)
-            lines.append(f"{name},{method},{value}")
-    return "\n".join(lines) + "\n"
-
-
-def bench_json_text(report: BenchReport) -> str:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "bench",
-        "columns": list(report.columns),
-        "rows": [
-            {"name": name, "n": n, "cells": dict(zip(report.columns, row))}
-            for (name, n), row in zip(report.rows, report.cells)
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"

@@ -6,6 +6,7 @@ files against the in-memory API on the same inputs.
 """
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -707,6 +708,23 @@ class TestBench:
         assert {row["name"] for row in doc["rows"]} == {"prices", "prices-2"}
         capsys.readouterr()
 
+    def test_names_that_need_quoting_stay_one_cell(self, tmp_path, capsys):
+        # a stem holding a comma or a quote is quoted, its quotes doubled
+        names = ("a,b.csv", 'q"x.csv')
+        inputs = [write_prices(tmp_path, name, count=120) for name in names]
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--input", *inputs, "--out", str(out)]) == 0
+        text = out.read_text()
+        assert '\n"a,b",garch11,' in text
+        assert '\n"q""x",garch11,' in text
+        with open(out, newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert {len(row) for row in rows} == {3}
+        assert {row[0] for row in rows[1:]} == {"a,b", 'q"x'}
+        doc = json.loads((tmp_path / "bench.json").read_text())
+        assert [row["name"] for row in doc["rows"]] == ["a,b", 'q"x']
+        capsys.readouterr()
+
     def test_default_delta(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
         path = write_prices(tmp_path, count=120)
@@ -908,6 +926,21 @@ class TestOrdering:
         assert len(lines) == 13
         doc = json.loads(json_out.read_text())
         assert doc["kind"] == "ordering"
+
+    def test_diverging_theta_exits_one_before_writing(self, tmp_path, capsys):
+        # the pure k=0 filter overflows at theta = 1000 for n = 125: one
+        # error line naming theta, no warning and no output file
+        scenario = write_scenario(tmp_path)
+        code = main(
+            ["ordering", "--scenario", scenario,
+             "--theta-grid", "1,2,3,5,8,13,21,34,55,1000", "--n", "125", "--seeds", "10",
+             "--out", str(tmp_path / "o.csv"), "--json-out", str(tmp_path / "o.json")]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: the order-0 filter diverges at theta = 1000.0 on the path of seed 0\n"
+        )
+        assert sorted(os.listdir(tmp_path)) == ["scenario.cfg"]
 
     def test_bad_theta_grid_is_usage_error(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path)

@@ -1,12 +1,13 @@
-"""Experiment harness tests: metrics, studies, benchmark table, serializers.
+"""Experiment harness tests: metrics, studies, benchmark table, result files.
 
 Oracles: hand-computable burn-in indices and mean squared errors, a
-direct recomputation of the rank correlation with scipy, and exact
-expected serialization strings for small hand-built results.
+direct recomputation of the rank correlation with scipy, and the exact
+bytes the CLI writes for small hand-built results.
 """
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,20 +18,17 @@ from voltrack import (
     BENCH_METHODS,
     BenchReport,
     ConvergenceResult,
+    DataError,
     FuncSpec,
     OrderingResult,
     Scenario,
-    bench_csv_text,
-    bench_json_text,
     benchmark_report,
     burn_in_index,
-    convergence_csv_text,
+    cli,
     convergence_experiment,
-    convergence_json_text,
-    convergence_plot_text,
+    format_scenario_config,
+    main,
     ordering_agreement,
-    ordering_csv_text,
-    ordering_json_text,
     shift_sensitivity,
     vn_metric,
 )
@@ -196,6 +194,13 @@ class TestOrderingAgreement:
             int(np.argmin(result.sn_values)) == int(np.argmin(result.vn_values))
         )
 
+    def test_diverging_theta_raises_naming_it(self):
+        # the pure k=0 filter is stable only for theta < 2 n^(2/3), 50 at n = 125;
+        # theta = 55 still gives finite losses, theta = 1000 overflows
+        grid = (1, 2, 3, 5, 8, 13, 21, 34, 55, 1000)
+        with pytest.raises(DataError, match=r"diverges at theta = 1000\.0 "):
+            ordering_agreement(SINU, grid, n=125, seeds=10)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ordering_agreement(SINU, (0.1, 0.2), n=500, seeds=10)
@@ -259,41 +264,83 @@ BENCH = BenchReport(
 )
 
 
-class TestSerializers:
-    def test_convergence_csv(self):
-        assert convergence_csv_text(CONV) == "n,mse\n100,0.5\n400,0.25\n1600,0.125\n"
+def cli_files(monkeypatch, tmp_path, binding, result, argv):
+    """The files `voltrack argv` writes in tmp_path when the experiment
+    that voltrack.cli binds as `binding` returns result."""
+    monkeypatch.setattr(cli, binding, lambda *args, **kwargs: result)
+    monkeypatch.delenv("VOLTRACK_OUT_DIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    Path("scenario.cfg").write_text(format_scenario_config(SINU))
+    Path("alpha.csv").write_text("price\n1.0\n1.5\n")
+    Path("beta.csv").write_text("price\n2.0\n1.5\n")
+    assert main(argv) == 0
+    return {path.name: path.read_text() for path in tmp_path.iterdir()}
 
-    def test_convergence_plot_two_columns(self):
-        lines = convergence_plot_text(CONV).strip().split("\n")
+
+def envelope(kind, **items):
+    return json.dumps({"schema_version": 1, "kind": kind, **items}, indent=2) + "\n"
+
+
+CONV_ARGV = [
+    "convergence", "--scenario", "scenario.cfg", "--n", "100,400,1600",
+    "--out", "conv.csv", "--json-out", "conv.json", "--plot-out", "conv.txt",
+]
+ORDER_ARGV = [
+    "ordering", "--scenario", "scenario.cfg", "--theta-grid", "0.5,1,2", "--n", "100",
+    "--out", "ord.csv", "--json-out", "ord.json",
+]
+BENCH_ARGV = ["bench", "--input", "alpha.csv", "beta.csv", "--out", "bench.csv"]
+
+
+class TestSerializers:
+    """The files the CLI writes for the hand-built results above, byte for byte."""
+
+    def test_convergence_csv(self, monkeypatch, tmp_path):
+        files = cli_files(monkeypatch, tmp_path, "convergence_experiment", CONV, CONV_ARGV)
+        assert files["conv.csv"] == "n,mse\n100,0.5\n400,0.25\n1600,0.125\n"
+
+    def test_convergence_plot_two_columns(self, monkeypatch, tmp_path):
+        files = cli_files(monkeypatch, tmp_path, "convergence_experiment", CONV, CONV_ARGV)
+        lines = files["conv.txt"].strip().split("\n")
         assert len(lines) == 3
         for (n, mse), line in zip(zip(CONV.n_values, CONV.mse_values), lines):
             a, b = line.split(" ")
             assert float(a) == math.log(n)
             assert float(b) == math.log(mse)
+            # math.log, not np.log: the bytes are those of the Python float
+            assert line == f"{math.log(n)!r} {math.log(mse)!r}"
 
-    def test_convergence_json(self):
-        doc = json.loads(convergence_json_text(CONV))
-        assert doc["schema_version"] == 1
-        assert doc["kind"] == "convergence"
-        assert doc["n_values"] == [100, 400, 1600]
-        assert doc["mse_values"] == [0.5, 0.25, 0.125]
-        assert doc["fitted_slope"] == -0.5
+    def test_convergence_json(self, monkeypatch, tmp_path):
+        files = cli_files(monkeypatch, tmp_path, "convergence_experiment", CONV, CONV_ARGV)
+        assert files["conv.json"] == envelope(
+            "convergence",
+            n_values=[100, 400, 1600],
+            mse_values=[0.5, 0.25, 0.125],
+            fitted_slope=-0.5,
+            theoretical_slope=-2 / 3,
+            seeds_per_n=10,
+        )
 
-    def test_ordering_csv(self):
-        assert ordering_csv_text(ORDER) == (
+    def test_ordering_csv(self, monkeypatch, tmp_path):
+        files = cli_files(monkeypatch, tmp_path, "ordering_agreement", ORDER, ORDER_ARGV)
+        assert files["ord.csv"] == (
             "theta,sn,vn\n0.5,0.25,0.025\n1.0,0.125,0.0125\n2.0,0.5,0.05\n"
         )
 
-    def test_ordering_json(self):
-        doc = json.loads(ordering_json_text(ORDER))
-        assert doc["schema_version"] == 1
-        assert doc["kind"] == "ordering"
-        assert doc["theta_grid"] == [0.5, 1.0, 2.0]
-        assert doc["kendall_tau"] == 1.0
-        assert doc["argmin_match"] is True
+    def test_ordering_json(self, monkeypatch, tmp_path):
+        files = cli_files(monkeypatch, tmp_path, "ordering_agreement", ORDER, ORDER_ARGV)
+        assert files["ord.json"] == envelope(
+            "ordering",
+            theta_grid=[0.5, 1.0, 2.0],
+            sn_values=[0.25, 0.125, 0.5],
+            vn_values=[0.025, 0.0125, 0.05],
+            kendall_tau=1.0,
+            argmin_match=True,
+        )
 
-    def test_bench_csv_blank_for_missing(self):
-        assert bench_csv_text(BENCH) == (
+    def test_bench_csv_blank_for_missing(self, monkeypatch, tmp_path):
+        files = cli_files(monkeypatch, tmp_path, "benchmark_report", BENCH, BENCH_ARGV)
+        assert files["bench.csv"] == (
             "series,method,sn\n"
             "alpha,garch11,0.25\n"
             "alpha,filter0,0.125\n"
@@ -301,13 +348,14 @@ class TestSerializers:
             "beta,filter0,0.5\n"
         )
 
-    def test_bench_json_null_for_missing(self):
-        doc = json.loads(bench_json_text(BENCH))
-        assert doc["schema_version"] == 1
-        assert doc["columns"] == ["garch11", "filter0"]
-        assert doc["rows"][0] == {
-            "name": "alpha",
-            "n": 200,
-            "cells": {"garch11": 0.25, "filter0": 0.125},
-        }
-        assert doc["rows"][1]["cells"]["garch11"] is None
+    def test_bench_json_null_for_missing(self, monkeypatch, tmp_path):
+        files = cli_files(monkeypatch, tmp_path, "benchmark_report", BENCH, BENCH_ARGV)
+        assert files["bench.json"] == envelope(
+            "bench",
+            columns=["garch11", "filter0"],
+            rows=[
+                {"name": "alpha", "n": 200, "cells": {"garch11": 0.25, "filter0": 0.125}},
+                {"name": "beta", "n": 300, "cells": {"garch11": None, "filter0": 0.5}},
+            ],
+            delta=1 / 252,
+        )

@@ -53,6 +53,19 @@ def test_import_leaves_scipy_stats_unloaded():
     assert run_fresh("import sys, voltrack; print('scipy.stats' in sys.modules)") == "False\n"
 
 
+def test_sampling_leaves_scipy_integrate_unloaded():
+    # the quadrature writes Simpson's sum out in NumPy
+    code = """
+import sys
+import voltrack
+mu = voltrack.FuncSpec("constant", (0.05,))
+scenario = voltrack.Scenario(mu, voltrack.FuncSpec("sinusoid", (0.1, 0.05, 1.0, 0.0)))
+voltrack.generate_path(scenario, 100, 1)
+print('scipy.integrate' in sys.modules)
+"""
+    assert run_fresh(code) == "False\n"
+
+
 def test_compiled_first_order_loads_neither_scipy_signal_nor_scipy_stats():
     # A pure k=0 run takes the compiled kernel from its extension file, so
     # scipy.signal (whose __init__ loads scipy.stats) stays unloaded; the

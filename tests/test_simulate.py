@@ -229,6 +229,33 @@ class TestGeneratePath:
         assert np.all(np.isfinite(means))
         assert_allclose(means, value, rtol=1e-15)
 
+    @settings(max_examples=80)
+    @given(st.data())
+    def test_quadrature_is_scipy_simpson_bit_for_bit(self, data):
+        # the Simpson sum is written out in NumPy; scipy.integrate.simpson,
+        # applied to the same scaled nodes, stays its reference
+        from scipy import integrate
+
+        magnitude = 10.0 ** data.draw(_finite(-300.0, 300.0))
+        spec = data.draw(
+            st.one_of(
+                positive_specs(),
+                st.builds(
+                    lambda amp, freq, phase: FuncSpec(
+                        "sinusoid", (magnitude, amp * magnitude, freq, phase)
+                    ),
+                    _finite(-0.99, 0.99), _finite(0.0, 50.0), _finite(-10.0, 10.0),
+                ),
+            )
+        )
+        horizon, n = data.draw(_finite(1e-3, 1e3)), data.draw(st.integers(1, 300))
+        delta = horizon / n
+        h = delta / 16
+        nodes = (np.arange(n) * delta)[:, None] + (np.arange(17) * h)[None, :]
+        scaled = spec.values(nodes) * 2.0**-6
+        want = integrate.simpson(scaled, dx=h, axis=1) / delta / 2.0**-6
+        assert _interval_means(spec, horizon, n).tobytes() == want.tobytes()
+
     def test_integer_levels_integrate_like_floats(self):
         # the quadrature scales the node values in place, which an integer
         # array returned by FuncSpec.values could not hold
