@@ -294,7 +294,7 @@ def _cmd_track(args) -> int:
     else:
         params = config.explicit_params()
     result = run(xs, params)
-    columns = (range(xs.size), xs, result.estimates, result.residuals)
+    columns = (np.arange(xs.size), xs, result.estimates, result.residuals)
     _write(args.out, csv_text(("index", "x", "v_hat", "residual"), *columns))
     print(f"s_n = {float_repr(result.s_n)}")
     return 0

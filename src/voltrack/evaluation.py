@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import DataError, VoltrackError
 from .filters import ExtendedParams, run
+from .gains import step_spectral_radius
 from .simulate import Scenario, decomposition_diagnostics, sample_paths
 from .tuning import TuningReport, fit_garch, tune_filter0, tune_filter1, tune_filter2
 
@@ -208,6 +209,32 @@ def convergence_experiment(
     )
 
 
+def _kendall_tau_b(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Kendall's tau-b of two equally long sequences, NaN when every pair
+    is tied in xs or in ys.
+
+    All m(m-1)/2 pairs are counted with exact integers, and the division
+    and clipping follow scipy.stats.kendalltau (SciPy 1.17), so the two
+    agree bit for bit: S / sqrt(P - Tx) / sqrt(P - Ty) with S concordant
+    minus discordant pairs, P all pairs and Tx, Ty the pairs tied in xs
+    and in ys.
+    """
+    m = len(xs)
+    s = tied_x = tied_y = 0
+    for i in range(m):
+        for j in range(i + 1, m):
+            sign_x = (xs[j] > xs[i]) - (xs[j] < xs[i])
+            sign_y = (ys[j] > ys[i]) - (ys[j] < ys[i])
+            tied_x += sign_x == 0
+            tied_y += sign_y == 0
+            s += sign_x * sign_y
+    pairs = m * (m - 1) // 2
+    if tied_x == pairs or tied_y == pairs:
+        return math.nan
+    tau = s / math.sqrt(pairs - tied_x) / math.sqrt(pairs - tied_y)
+    return min(1.0, max(-1.0, tau))
+
+
 def ordering_agreement(
     scenario: Scenario,
     theta_grid: Sequence[float],
@@ -222,8 +249,10 @@ def ordering_agreement(
     Both losses are averaged over the same paths per theta; Kendall's
     tau between the two mean sequences quantifies how reliably sorting
     by S_n sorts by V_n, and argmin_match reports whether the two grid
-    minimizers coincide.  A theta whose filter diverges (a non-finite S_n
-    or V_n on any path) raises DataError naming it.
+    minimizers coincide.  A theta outside the filter's stability region
+    for n (step_spectral_radius of at least 1) raises DataError naming it
+    before any run, and so does a theta whose filter still overflows (a
+    non-finite S_n or V_n on any path).
     """
     grid = [float(t) for t in theta_grid]
     if len(grid) < 10 or any(b <= a for a, b in zip(grid, grid[1:])):
@@ -231,10 +260,18 @@ def ordering_agreement(
     if seeds < 10:
         raise ValueError(f"need at least 10 seeds, got {seeds}")
     burn = burn_in_index(n, k, burn_c)
+    # built first, so a bad k or theta is refused as ExtendedParams words it
+    grid_params = [_pure_params(k, theta) for theta in grid]
+    for theta in grid:
+        radius = step_spectral_radius(k, theta, n)
+        if radius >= 1.0:
+            raise DataError(
+                f"the order-{k} filter diverges at theta = {theta!r} for n = {n}: "
+                f"its one-step matrix has spectral radius {radius:.3g} (stable below 1)"
+            )
     paths = list(sample_paths(scenario, n, range(base_seed, base_seed + seeds)))
     sn_means, vn_means = [], []
-    for theta in grid:
-        params = _pure_params(k, theta)
+    for theta, params in zip(grid, grid_params):
         sns, vns = [], []
         for path in paths:
             # a diverging run overflows; it is refused below, not warned about
@@ -250,10 +287,7 @@ def ordering_agreement(
             vns.append(vn)
         sn_means.append(float(np.mean(sns)))
         vn_means.append(float(np.mean(vns)))
-    # imported here: scipy.stats is about 40% of the time `import voltrack` takes
-    from scipy.stats import kendalltau
-
-    tau = float(kendalltau(sn_means, vn_means).statistic)
+    tau = _kendall_tau_b(sn_means, vn_means)
     match = bool(int(np.argmin(sn_means)) == int(np.argmin(vn_means)))
     return OrderingResult(
         theta_grid=tuple(grid),

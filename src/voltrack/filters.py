@@ -41,7 +41,6 @@ from typing import Sequence
 
 import numpy as np
 import scipy
-from scipy.linalg import lapack
 
 from .errors import DataError
 from .gains import MAX_ORDER, GainSchedule, gain_schedule
@@ -326,7 +325,10 @@ def _garch_basis(x_arr: np.ndarray, g_coeffs: Sequence[float], q: int) -> np.nda
     padded = np.concatenate((np.full(q - 1, x0), x_arr[:-1]))
     for m in range(1, q + 1):
         inputs[1:, 1 + m] = padded[q - m : q - m + n - 1]
-    # forward substitution; the unit diagonal cannot make it fail
+    # forward substitution; the unit diagonal cannot make it fail.  Only
+    # the GARCH fit gets here, so only it loads scipy.linalg.
+    from scipy.linalg import lapack
+
     basis, _ = lapack.dtbtrs(band, inputs, uplo="L")
     return basis
 

@@ -34,6 +34,7 @@ __all__ = [
     "solve_care",
     "gain_schedule",
     "stability_report",
+    "step_spectral_radius",
 ]
 
 MAX_ORDER = 8
@@ -243,3 +244,19 @@ def stability_report(k: int, theta: float) -> StabilityReport:
         min_real_gap_to_zero=gap,
         min_pairwise_distance=min_pair,
     )
+
+
+def step_spectral_radius(k: int, theta: float, n: int) -> float:
+    """Spectral radius of the pure order-k filter's one-step matrix.
+
+    A step maps the state z = [v, d_1, ..., d_k] to (I + N/n - g e_0') z
+    plus the gains times the observation, with N the upper shift matrix
+    and g the gain_schedule gains.  The recursion is stable for a run of
+    n only when this radius is below 1.  Unlike stability_report, which
+    certifies the continuous-time limit for every theta, this bounds
+    theta: for k = 0 the condition is theta < 2 n^(2/3).
+    """
+    gains = gain_schedule(k, theta, n).step_gains
+    step = np.eye(k + 1) + np.eye(k + 1, k=1) / n
+    step[:, 0] -= gains
+    return float(np.max(np.abs(np.linalg.eigvals(step))))

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from .errors import TuningError
 from .filters import ExtendedParams, GarchParams, _garch_basis, run
@@ -334,6 +333,10 @@ def _relax_pair(
             best_sn, best = value, pair
         return value
 
+    # imported where it runs: scipy.optimize (with scipy.linalg and
+    # scipy.sparse) is most of the time `import voltrack` would take
+    from scipy import optimize
+
     optimize.minimize(
         nm_objective,
         np.asarray(best),
@@ -544,6 +547,8 @@ def fit_garch(xs: Sequence[float], p: int = 1, q: int = 1) -> TuningReport:
         # Nelder-Mead orders infinities correctly; a finite penalty could
         # undercut the S_n of a series on a large scale.
         return profiled(g)[1] if sum(g) < 1.0 else math.inf
+
+    from scipy import optimize  # see _relax_pair
 
     names = ["K", *(f"g{j}" for j in range(1, p + 1))]
     names += [f"a{m}" for m in range(1, q + 1)]

@@ -928,8 +928,9 @@ class TestOrdering:
         assert doc["kind"] == "ordering"
 
     def test_diverging_theta_exits_one_before_writing(self, tmp_path, capsys):
-        # the pure k=0 filter overflows at theta = 1000 for n = 125: one
-        # error line naming theta, no warning and no output file
+        # the pure k=0 filter is unstable for theta >= 50 at n = 125, so
+        # theta = 55 is refused before any run: one error line naming theta
+        # and n, no warning and no output file
         scenario = write_scenario(tmp_path)
         code = main(
             ["ordering", "--scenario", scenario,
@@ -938,7 +939,8 @@ class TestOrdering:
         )
         assert code == 1
         assert capsys.readouterr().err == (
-            "error: the order-0 filter diverges at theta = 1000.0 on the path of seed 0\n"
+            "error: the order-0 filter diverges at theta = 55.0 for n = 125: its one-step "
+            "matrix has spectral radius 1.2 (stable below 1)\n"
         )
         assert sorted(os.listdir(tmp_path)) == ["scenario.cfg"]
 

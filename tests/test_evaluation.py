@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats
 
@@ -32,6 +34,7 @@ from voltrack import (
     shift_sensitivity,
     vn_metric,
 )
+from voltrack.evaluation import _kendall_tau_b
 
 SINU = Scenario(
     mu_spec=FuncSpec("constant", (0.05,)),
@@ -196,9 +199,21 @@ class TestOrderingAgreement:
 
     def test_diverging_theta_raises_naming_it(self):
         # the pure k=0 filter is stable only for theta < 2 n^(2/3), 50 at n = 125;
-        # theta = 55 still gives finite losses, theta = 1000 overflows
+        # theta = 55 still gives finite losses but is refused before any run
         grid = (1, 2, 3, 5, 8, 13, 21, 34, 55, 1000)
-        with pytest.raises(DataError, match=r"diverges at theta = 1000\.0 "):
+        with pytest.raises(DataError, match=r"diverges at theta = 55\.0 for n = 125: "):
+            ordering_agreement(SINU, grid, n=125, seeds=10)
+
+    def test_theta_on_the_stability_boundary_is_refused_before_any_run(self, monkeypatch):
+        # theta = 2 n^(2/3) = 50 at n = 125 gives a radius a rounding above 1;
+        # no path is sampled and no filter run
+        def forbidden(*args):
+            raise AssertionError("ran before refusing")
+
+        monkeypatch.setattr("voltrack.evaluation.sample_paths", forbidden)
+        monkeypatch.setattr("voltrack.evaluation.run", forbidden)
+        grid = (1, 2, 3, 5, 8, 13, 21, 34, 50, 55)
+        with pytest.raises(DataError, match=r"diverges at theta = 50\.0 for n = 125: "):
             ordering_agreement(SINU, grid, n=125, seeds=10)
 
     def test_validation(self):
@@ -208,6 +223,37 @@ class TestOrderingAgreement:
             ordering_agreement(SINU, np.logspace(-1, 1, 12)[::-1], n=500, seeds=10)
         with pytest.raises(ValueError):
             ordering_agreement(SINU, np.logspace(-1, 1, 12), n=500, seeds=3)
+
+
+# Few distinct values, so that ties in x, in y and in both are common.
+_TAU_VALUES = st.sampled_from([-2.5, -1.0, 0.0, 0.3, 0.3000000000000001, 1.0, 7.0, 1e300])
+
+
+class TestKendallTauB:
+    @settings(max_examples=300)
+    @given(st.integers(2, 40).flatmap(
+        lambda m: st.tuples(
+            st.lists(_TAU_VALUES, min_size=m, max_size=m),
+            st.lists(st.floats(-1e3, 1e3) | _TAU_VALUES, min_size=m, max_size=m),
+        )
+    ))
+    def test_equals_scipy_bit_for_bit(self, pair):
+        xs, ys = pair
+        expected = float(stats.kendalltau(xs, ys).statistic)
+        got = _kendall_tau_b(xs, ys)
+        if math.isnan(expected):
+            assert math.isnan(got)
+        else:
+            assert got == expected
+            assert math.copysign(1.0, got) == math.copysign(1.0, expected)
+
+    @pytest.mark.parametrize("m", [2, 3, 20, 40])
+    def test_all_tied_is_nan(self, m):
+        ramp = [float(i) for i in range(m)]
+        assert math.isnan(_kendall_tau_b([0.5] * m, ramp))
+        assert math.isnan(_kendall_tau_b(ramp, [0.5] * m))
+        assert _kendall_tau_b(ramp, ramp) == 1.0
+        assert _kendall_tau_b(ramp, ramp[::-1]) == -1.0
 
 
 class TestShiftSensitivity:

@@ -19,6 +19,7 @@ from voltrack import (
     gain_schedule,
     solve_care,
     stability_report,
+    step_spectral_radius,
 )
 
 # Closed forms for the first column of U, orders 0..4.
@@ -211,6 +212,55 @@ class TestStabilityReport:
     def test_rejects_non_positive_theta(self):
         with pytest.raises(ValueError):
             stability_report(0, 0.0)
+
+
+class TestStepSpectralRadius:
+    def test_order_zero_is_the_level_coefficient(self):
+        # v' = (1 - g0) v + g0 x: stable exactly for theta < 2 n^(2/3)
+        for n in (125, 1000, 4000):
+            for theta in (0.1, 1.0, 30.0, 50.0, 55.0, 1000.0):
+                g0 = float(gain_schedule(0, theta, n).step_gains[0])
+                assert step_spectral_radius(0, theta, n) == abs(1.0 - g0)
+        assert step_spectral_radius(0, 49.99, 125) < 1.0
+        assert step_spectral_radius(0, 50.0, 125) >= 1.0
+        assert_allclose(step_spectral_radius(0, 55.0, 125), 1.2, rtol=1e-12)
+        assert_allclose(step_spectral_radius(0, 30.0, 4000), 0.880944921102385, rtol=1e-12)
+
+    def test_against_the_characteristic_polynomial(self):
+        # The eigenvalues are 1 + s for the roots s of
+        # s^(k+1) + g_0 s^k + (g_1/n) s^(k-1) + ... + g_k/n^k.
+        for k in range(MAX_ORDER + 1):
+            for n in (50, 4000):
+                for theta in (0.01, 1.0, 100.0, 1000.0):
+                    g = gain_schedule(k, theta, n).step_gains
+                    poly = [1.0, *(g[j] / n**j for j in range(k + 1))]
+                    expected = float(np.max(np.abs(1.0 + np.roots(poly))))
+                    assert_allclose(
+                        step_spectral_radius(k, theta, n), expected, rtol=1e-8
+                    ), (k, n, theta)
+
+    def test_unstable_radius_means_a_growing_run(self):
+        # Iterating the pure filter's homogeneous step from a unit state,
+        # rescaled each step: its mean log growth is the log of the radius,
+        # negative inside the region and positive outside it.
+        cases = ((0, 125, (1.0, 55.0)), (1, 20, (1.0, 1000.0)), (2, 20, (1.0, 1e4)))
+        for k, n, thetas in cases:
+            for theta in thetas:
+                g = gain_schedule(k, theta, n).step_gains
+                z, log_growth = np.ones(k + 1), 0.0
+                for _ in range(2000):
+                    z = z + np.append(z[1:], 0.0) / n - g * z[0]
+                    scale = float(np.max(np.abs(z)))
+                    z, log_growth = z / scale, log_growth + math.log(scale)
+                radius = step_spectral_radius(k, theta, n)
+                assert (log_growth > 0.0) == (radius >= 1.0), (k, theta)
+                assert_allclose(log_growth / 2000, math.log(radius), atol=0.01)
+
+    def test_rejects_what_gain_schedule_rejects(self):
+        with pytest.raises(ValueError):
+            step_spectral_radius(0, 0.0, 100)
+        with pytest.raises(ValueError):
+            step_spectral_radius(MAX_ORDER + 1, 1.0, 100)
 
 
 class TestSolverErrorType:

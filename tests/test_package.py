@@ -6,10 +6,13 @@ any error, so the lists must be disjoint.
 """
 
 import importlib
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import voltrack
 
@@ -48,9 +51,79 @@ def run_fresh(code: str) -> str:
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is imported only inside ordering_agreement, because it
-    # dominates the import time of every command that does not use it
+    # no module imports scipy.stats: ordering computes Kendall's tau itself,
+    # and the linear-filter kernel is loaded without scipy.signal
     assert run_fresh("import sys, voltrack; print('scipy.stats' in sys.modules)") == "False\n"
+
+
+HEAVY = ("scipy.optimize", "scipy.linalg", "scipy.stats", "scipy.sparse", "scipy.special")
+
+
+def test_import_leaves_heavy_scipy_unloaded():
+    # each of these is imported only inside the code that calls it
+    code = f"import sys, voltrack; print([m for m in {HEAVY!r} if m in sys.modules])"
+    assert run_fresh(code) == "[]\n"
+
+
+SCENARIO = """\
+mu.kind = constant
+mu.params = 0.05
+v.kind = sinusoid
+v.params = 0.09, 0.04, 2.0, 0.3
+"""
+TRACK = ("track", "--scenario", "s.cfg", "--n", "300", "--out", "est.csv", "--filter")
+
+
+def run_command_fresh(tmp_path, argv) -> tuple[int, list[str]]:
+    """Exit code of `voltrack argv` run in a fresh interpreter inside
+    tmp_path, and which of HEAVY it left loaded."""
+    (tmp_path / "s.cfg").write_text(SCENARIO)
+    code = f"""
+import json, os, sys
+os.chdir({str(tmp_path)!r})
+os.environ.pop("VOLTRACK_OUT_DIR", None)
+import voltrack.cli
+rc = voltrack.cli.main({list(argv)!r})
+print(json.dumps([rc, [m for m in {HEAVY!r} if m in sys.modules]]))
+"""
+    return tuple(json.loads(run_fresh(code).splitlines()[-1]))
+
+
+COMMANDS = {
+    "track-filter1": (*TRACK, "filter1", "--theta", "2.0", "--a", "5.0", "--level", "0.1"),
+    "track-filter2": (*TRACK, "filter2", "--theta", "2.0", "--a", "2.0,0.5", "--level", "0.1"),
+    "track-garch22": (
+        *TRACK, "garch22", "--level", "0.005", "--g", "0.5,0.3", "--a", "0.1,0.05"
+    ),
+    "simulate": ("simulate", "--scenario", "s.cfg", "--n", "300", "--out", "path.csv"),
+    "convergence": (
+        "convergence", "--scenario", "s.cfg", "--n", "100,300,1000", "--seeds", "10",
+        "--out", "conv.csv",
+    ),
+    "ordering": (
+        "ordering", "--scenario", "s.cfg", "--theta-grid", "0.1,0.2,0.5,1,2,3,5,8,13,21",
+        "--n", "300", "--seeds", "10", "--out", "ord.csv",
+    ),
+    "tune-filter1": (
+        "tune", "--scenario", "s.cfg", "--n", "300", "--filter", "filter1",
+        "--out", "report.json",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_commands_leave_heavy_scipy_unloaded(tmp_path, name):
+    assert run_command_fresh(tmp_path, COMMANDS[name]) == (0, [])
+
+
+@pytest.mark.parametrize("kind", ["garch22", "filter2"])
+def test_nelder_mead_tuners_load_optimize_and_linalg(tmp_path, kind):
+    argv = ("tune", "--scenario", "s.cfg", "--n", "300", "--filter", kind,
+            "--out", "report.json")
+    rc, loaded = run_command_fresh(tmp_path, argv)
+    assert rc == 0
+    assert {"scipy.optimize", "scipy.linalg"} <= set(loaded)
+    assert "scipy.stats" not in loaded
 
 
 def test_sampling_leaves_scipy_integrate_unloaded():
