@@ -22,8 +22,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DataError, VoltrackError
-from .filters import ExtendedParams, run
-from .gains import step_spectral_radius
+from .filters import ExtendedParams, run, step_spectral_radius
 from .simulate import Scenario, decomposition_diagnostics, sample_paths
 from .tuning import TuningReport, fit_garch, tune_filter0, tune_filter1, tune_filter2
 

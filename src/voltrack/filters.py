@@ -11,18 +11,20 @@ observations strictly before i):
   one- and two-derivative level filters used in the benchmarks);
 * the classical GARCH(p, q) recursion fitted by least squares.
 
-Each family's recursion is written once, as a private fold that only
-folds: it appends the one-step predictions to a list and returns the
-final state.  run() folds it over the whole series and step_* over one
-observation, so run equals the composition of steps by construction;
-residuals and S_n are formed from the predictions afterwards, in run()
-as one array subtraction and in step_* as x minus the prediction.  The
-k=0 level filter and GARCH(1,1) share one fold, the first-order
-recursion v' = c_v v + c + g x, so the twin holds bit for bit by
-construction.  The one exception to folding in Python: where c = 0,
-run() evaluates that recursion in SciPy's compiled linear-filter kernel,
-on arrays from end to end.  c != 0 and the step functions keep the
-Python fold, and a property test holds the two equal bit for bit.  The
+Each family's recursion is written once, as a private fold that takes an
+array of observations and returns the one-step predictions and the final
+state: _fold_adaptive for the order-k filters, _fold_garch for GARCH.
+run() folds it over the whole series, step_* over one observation and
+step_spectral_radius over observation 0 from each unit state, so run
+equals the composition of steps, and the stability radius belongs to the
+recursion run() folds, by construction.  Residuals and S_n are formed
+from the predictions afterwards, in run() as one array subtraction and
+in step_* as x minus the prediction.  The k=0 level filter and
+GARCH(1,1) share one first-order recursion, v' = c_v v + c + g x
+(_first_order), so the twin holds bit for bit by construction.  Where
+c = 0 it runs in SciPy's compiled linear-filter kernel, on arrays from
+end to end, for run() and the steps alike; other c run a Python loop,
+and a property test holds the kernel equal to that loop bit for bit.  The
 k=1 fold is the general order-k update unrolled into two locals, in the
 same operation order, at under a third of the general loop's cost per
 step.  The GARCH estimates are affine in K and a for fixed g;
@@ -54,6 +56,7 @@ __all__ = [
     "step_adaptive",
     "step_garch",
     "run",
+    "step_spectral_radius",
 ]
 
 # Sum(g) + Sum(a) may sit exactly on 1: the level filter with a_1 = 0 maps
@@ -207,25 +210,29 @@ def _linear_filter():
     return lfilter
 
 
-def _first_order(v0: float, x_arr: np.ndarray, c_v: float, c: float, g: float) -> np.ndarray:
-    """The predictions of v' = c_v v + c + g x from v0, one per x_arr entry.
+def _first_order(
+    v0: float, x_arr: np.ndarray, c_v: float, c: float, g: float
+) -> tuple[np.ndarray, float]:
+    """The recursion v' = c_v v + c + g x from v0: the prediction of each
+    x_arr entry, and the final v.
 
     For c = +0.0 the compiled kernel runs y[i] = 0 x[i] + z and
     z' = g x[i] + c_v y[i]: the fold's two products and one sum, so the
     same doubles up to the sign of zero.  The fold's (c_v v + 0.0) never
-    gives -0.0, so neither does any of its predictions after the first.
-    Every other c, -0.0 included, runs the fold itself.
+    gives -0.0, so neither does any of its values after v0: adding +0.0
+    to the kernel's makes them equal.  Every other c, -0.0 included, runs
+    the fold itself.
     """
     if c == 0.0 and math.copysign(1.0, c) > 0.0:
-        y, _ = _linear_filter()(
+        y, zf = _linear_filter()(
             np.array([0.0, g]), np.array([1.0, -c_v]), x_arr, -1, np.array([v0])
         )
         y += 0.0
         y[0] = v0
-        return y
+        return y, float(zf[0]) + 0.0
     estimates = []
-    _fold_first_order(v0, x_arr.tolist(), c_v, c, g, estimates)
-    return np.array(estimates)
+    v = _fold_first_order(v0, x_arr.tolist(), c_v, c, g, estimates)
+    return np.array(estimates), v
 
 
 def _level_first_order(schedule, ext) -> tuple[float, float, float]:
@@ -236,28 +243,30 @@ def _level_first_order(schedule, ext) -> tuple[float, float, float]:
     return 1.0 - a1_over_n - g0, a1_over_n * ext.k_level, g0
 
 
-def _fold_adaptive(z, xs, schedule, ext, estimates) -> list[float]:
-    """The order-k recursion, folded over xs from z = [v_hat, d_1, ..., d_k]:
-    appends the prediction of each x to estimates and returns the final z."""
+def _fold_adaptive(z, x_arr, schedule, ext) -> tuple[np.ndarray, list[float]]:
+    """The order-k recursion, folded over x_arr from z = [v_hat, d_1, ..., d_k]:
+    the prediction of each x, and the final z."""
     k = len(z) - 1
     if k == 0:
-        return [_fold_first_order(z[0], xs, *_level_first_order(schedule, ext), estimates)]
+        estimates, v = _first_order(z[0], x_arr, *_level_first_order(schedule, ext))
+        return estimates, [v]
     g, n = schedule.step_gains.tolist(), schedule.n
     a, level = ext.a_coeffs, ext.k_level
     damp = 1.0 - a[0] / n
     a_over_n = [c / n for c in a]
     level_term = a_over_n[k] * level
+    estimates = []
     if k == 1:
         # The general update below with k=1, unrolled into locals: the same
         # operations in the same order, without the per-step lists.
         g0, g1, a2n = g[0], g[1], a_over_n[1]
         v, d = z
-        for x in xs:
+        for x in x_arr.tolist():
             estimates.append(v)
             res = x - v
             v, d = v + d / n + g0 * res, d * damp - a2n * v + level_term + g1 * res
-        return [v, d]
-    for x in xs:
+        return np.array(estimates), [v, d]
+    for x in x_arr.tolist():
         estimates.append(z[0])
         res = x - z[0]
         new = [0.0] * (k + 1)
@@ -271,25 +280,24 @@ def _fold_adaptive(z, xs, schedule, ext, estimates) -> list[float]:
         t = t + g[k] * res
         new[k] = t
         z = new
-    return z
+    return np.array(estimates), z
 
 
-def _fold_garch(est, obs, xs, params: GarchParams) -> None:
-    """The GARCH(p, q) recursion, folded over xs.
+def _fold_garch(est, obs, x_arr, params: GarchParams) -> tuple[np.ndarray, float]:
+    """The GARCH(p, q) recursion, folded over x_arr: the prediction of each
+    x, and the final estimate.
 
-    est holds at least p prior estimates and obs at least q-1 prior
-    observations, most recent last.  Each step appends its new estimate
-    to est, so the prediction of xs[i] is the estimate that stood last in
-    est before that step, and for q > 1 its observation to obs.  GARCH(1,1)
-    is the first-order fold: (g_1 v + K) + a_1 x rounds like (K + g_1 v) + a_1 x.
+    est holds the p prior estimates and obs the q-1 prior observations,
+    most recent last; the prediction of x[i] is the latest estimate
+    before step i.  GARCH(1,1) is the first-order recursion:
+    (g_1 v + K) + a_1 x rounds like (K + g_1 v) + a_1 x.
     """
     p, q = params.p, params.q
     k_const, g, a = params.k_const, params.g_coeffs, params.a_coeffs
     if p == q == 1:
-        v = est.pop()
-        est.append(_fold_first_order(v, xs, g[0], k_const, a[0], est))
-        return
-    for x in xs:
+        return _first_order(est[-1], x_arr, g[0], k_const, a[0])
+    est, obs, n = list(est), list(obs), int(x_arr.size)
+    for x in x_arr.tolist():
         acc = k_const
         for j in range(1, p + 1):
             acc = acc + g[j - 1] * est[-j]
@@ -298,6 +306,7 @@ def _fold_garch(est, obs, xs, params: GarchParams) -> None:
             acc = acc + a[m - 1] * obs[1 - m]
         est.append(acc)
         obs.append(x)
+    return np.array(est[p - 1 : p - 1 + n]), est[-1]
 
 
 def _garch_basis(x_arr: np.ndarray, g_coeffs: Sequence[float], q: int) -> np.ndarray:
@@ -353,7 +362,9 @@ def step_adaptive(
         raise ValueError(f"schedule theta {schedule.theta} differs from theta {ext.theta}")
     if not math.isfinite(x):
         raise DataError(f"non-finite observation {x!r}")
-    z = _fold_adaptive([state.v_hat, *state.derivatives], (x,), schedule, ext, [])
+    _, z = _fold_adaptive(
+        [state.v_hat, *state.derivatives], np.array([x], dtype=float), schedule, ext
+    )
     return FilterState(z[0], tuple(z[1:]), state.step_index + 1), x - state.v_hat
 
 
@@ -380,9 +391,13 @@ def step_garch(
         )
     if not math.isfinite(x):
         raise DataError(f"non-finite observation {x!r}")
-    est = list(est_hist[len(est_hist) - p :])
-    _fold_garch(est, list(obs_hist[len(obs_hist) - (q - 1) :]), (x,), params)
-    return est[-1], x - est_hist[-1]
+    _, v = _fold_garch(
+        est_hist[len(est_hist) - p :],
+        obs_hist[len(obs_hist) - (q - 1) :],
+        np.array([x], dtype=float),
+        params,
+    )
+    return v, x - est_hist[-1]
 
 
 def _warmup_count(n: int) -> int:
@@ -405,34 +420,44 @@ def run(xs: Sequence[float], params: ExtendedParams | GarchParams) -> TrackResul
     if isinstance(params, GarchParams):
         # The first observation seeds the recursion; missing pre-sample
         # estimates and observations are padded with it.
-        p, q, v0 = params.p, params.q, float(x_arr[0])
-        if p == q == 1:
-            estimates = _first_order(
-                v0, x_arr, params.g_coeffs[0], params.k_const, params.a_coeffs[0]
-            )
-        else:
-            est = [v0] * p
-            _fold_garch(est, [v0] * (q - 1), x_arr.tolist(), params)
-            estimates = np.array(est[p - 1 : p - 1 + n])
+        v0 = float(x_arr[0])
+        estimates, _ = _fold_garch([v0] * params.p, [v0] * (params.q - 1), x_arr, params)
     elif isinstance(params, ExtendedParams):
         if max(params.a_coeffs) >= n / 10:
             raise ValueError("a_coeffs must stay well below n (max coefficient < n/10)")
         if abs(params.k_level) >= n:
             raise ValueError("k_level magnitude must stay below n")
-        schedule = gain_schedule(params.k, params.theta, n)
         state = init_state(params.k, x_arr[: _warmup_count(n)])
-        if params.k == 0:
-            estimates = _first_order(
-                state.v_hat, x_arr, *_level_first_order(schedule, params)
-            )
-        else:
-            preds = []
-            _fold_adaptive(
-                [state.v_hat, *state.derivatives], x_arr.tolist(), schedule, params, preds
-            )
-            estimates = np.array(preds)
+        estimates, _ = _fold_adaptive(
+            [state.v_hat, *state.derivatives],
+            x_arr,
+            gain_schedule(params.k, params.theta, n),
+            params,
+        )
     else:
         raise ValueError(f"unsupported parameter type {type(params).__name__}")
     residuals = x_arr - estimates
     s_n = float(np.mean(np.square(residuals)))
     return TrackResult(estimates=estimates, residuals=residuals, s_n=s_n)
+
+
+def _step_matrix(k: int, theta: float, n: int) -> np.ndarray:
+    """The pure order-k filter's one-step matrix for a run of n: column j
+    is _fold_adaptive's step from the unit state e_j on observation 0."""
+    schedule = gain_schedule(k, theta, n)
+    pure, zero = ExtendedParams(k, theta, (0.0,) * (k + 1)), np.zeros(1)
+    columns = [_fold_adaptive(e, zero, schedule, pure)[1] for e in np.eye(k + 1).tolist()]
+    return np.array(columns).T
+
+
+def step_spectral_radius(k: int, theta: float, n: int) -> float:
+    """Spectral radius of the pure order-k filter's one-step matrix.
+
+    A step maps the state z = [v, d_1, ..., d_k] to (I + N/n - g e_0') z
+    plus the gains times the observation, with N the upper shift matrix
+    and g the gain_schedule gains.  The recursion is stable for a run of
+    n only when this radius is below 1.  Unlike stability_report, which
+    certifies the continuous-time limit for every theta, this bounds
+    theta: for k = 0 the condition is theta < 2 n^(2/3).
+    """
+    return float(np.max(np.abs(np.linalg.eigvals(_step_matrix(k, theta, n)))))

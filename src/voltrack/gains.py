@@ -34,32 +34,9 @@ __all__ = [
     "solve_care",
     "gain_schedule",
     "stability_report",
-    "step_spectral_radius",
 ]
 
 MAX_ORDER = 8
-
-# First column of U in closed form for small k.  Newton's result is checked
-# against this table, and the table doubles as a fallback start if the
-# iteration ever stalls.
-_FIRST_COLUMN_TABLE = {
-    0: (1.0,),
-    1: (math.sqrt(2.0), 1.0),
-    2: (2.0, 2.0, 1.0),
-    3: (
-        math.sqrt(4.0 + math.sqrt(8.0)),
-        2.0 + math.sqrt(2.0),
-        math.sqrt(4.0 + math.sqrt(8.0)),
-        1.0,
-    ),
-    4: (
-        1.0 + math.sqrt(5.0),
-        3.0 + math.sqrt(5.0),
-        3.0 + math.sqrt(5.0),
-        1.0 + math.sqrt(5.0),
-        1.0,
-    ),
-}
 
 _RESIDUAL_TOL = 1e-9
 _DISTINCT_RTOL = 1e-8
@@ -93,6 +70,15 @@ class StabilityReport:
     all_distinct: bool
     min_real_gap_to_zero: float
     min_pairwise_distance: float
+
+
+def _closed_form_column(k: int) -> np.ndarray:
+    """First column of U in closed form: the coefficients of the Butterworth
+    polynomial of order k+1, prod_{i=1..j+1} cos((i-1) gamma) / sin(i gamma)
+    for entry j, with gamma = pi / (2k + 2)."""
+    gamma = math.pi / (2 * k + 2)
+    ratios = [math.cos((i - 1) * gamma) / math.sin(i * gamma) for i in range(1, k + 2)]
+    return np.cumprod(ratios)
 
 
 def _shift_matrix(m: int) -> np.ndarray:
@@ -158,10 +144,6 @@ def solve_care(k: int) -> RiccatiSolution:
     k = int(k)
     u = _newton_solve(k)
     residual = float(np.linalg.norm(_riccati_residual(k, u)))
-    if residual > _RESIDUAL_TOL and k in _FIRST_COLUMN_TABLE:
-        # fallback: one policy-evaluation step at the known optimal gain
-        u = _lyapunov_at_gain(k, np.asarray(_FIRST_COLUMN_TABLE[k]))
-        residual = float(np.linalg.norm(_riccati_residual(k, u)))
     if residual > _RESIDUAL_TOL:
         raise SolverError(
             f"Riccati iteration did not converge for k={k}", residual_norm=residual
@@ -179,13 +161,13 @@ def solve_care(k: int) -> RiccatiSolution:
             f"Riccati solution not positive definite for k={k}",
             residual_norm=residual,
         ) from exc
-    if k in _FIRST_COLUMN_TABLE:
-        table = np.asarray(_FIRST_COLUMN_TABLE[k])
-        if float(np.max(np.abs(first - table))) > _RESIDUAL_TOL:
-            raise SolverError(
-                f"Riccati solution disagrees with the closed form for k={k}",
-                residual_norm=residual,
-            )
+    # Newton and the residual read the same matrices, so an error in the
+    # equation itself passes both; the closed form shares none of them.
+    if float(np.max(np.abs(first - _closed_form_column(k)))) > _RESIDUAL_TOL:
+        raise SolverError(
+            f"Riccati solution disagrees with the closed form for k={k}",
+            residual_norm=residual,
+        )
     u.setflags(write=False)
     first.setflags(write=False)
     return RiccatiSolution(k=k, u_matrix=u, first_column=first)
@@ -244,19 +226,3 @@ def stability_report(k: int, theta: float) -> StabilityReport:
         min_real_gap_to_zero=gap,
         min_pairwise_distance=min_pair,
     )
-
-
-def step_spectral_radius(k: int, theta: float, n: int) -> float:
-    """Spectral radius of the pure order-k filter's one-step matrix.
-
-    A step maps the state z = [v, d_1, ..., d_k] to (I + N/n - g e_0') z
-    plus the gains times the observation, with N the upper shift matrix
-    and g the gain_schedule gains.  The recursion is stable for a run of
-    n only when this radius is below 1.  Unlike stability_report, which
-    certifies the continuous-time limit for every theta, this bounds
-    theta: for k = 0 the condition is theta < 2 n^(2/3).
-    """
-    gains = gain_schedule(k, theta, n).step_gains
-    step = np.eye(k + 1) + np.eye(k + 1, k=1) / n
-    step[:, 0] -= gains
-    return float(np.max(np.abs(np.linalg.eigvals(step))))

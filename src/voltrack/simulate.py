@@ -81,6 +81,8 @@ class FuncSpec:
         elif self.kind == "regime_switch":
             if len(self.levels) < 1 or len(self.levels) != len(self.breakpoints) + 1:
                 raise ValueError("regime_switch needs len(levels) == len(breakpoints)+1")
+            if not all(math.isfinite(v) for v in (*self.levels, *self.breakpoints)):
+                raise ValueError("regime_switch levels and breakpoints must be finite")
             if any(b2 <= b1 for b1, b2 in zip(self.breakpoints, self.breakpoints[1:])):
                 raise ValueError("breakpoints must be strictly increasing")
         elif self.kind == "sum":

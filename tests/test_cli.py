@@ -618,6 +618,22 @@ class TestSimulate:
         printed = capsys.readouterr().out
         assert "delta = " in printed
 
+    def test_non_finite_breakpoint_exits_one(self, tmp_path, capsys):
+        scenario = tmp_path / "switch.cfg"
+        scenario.write_text(
+            "mu.kind = constant\nmu.params = 0.05\nv.kind = regime_switch\n"
+            "v.levels = 0.05, 0.2\nv.breakpoints = nan\n"
+        )
+        out = tmp_path / "path.csv"
+        code = main(
+            ["simulate", "--scenario", str(scenario), "--n", "10", "--out", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "finite" in err
+        assert not out.exists()
+
     def test_output_mode_follows_umask(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path)
         out = tmp_path / "path.csv"

@@ -7,6 +7,7 @@ properties over randomly drawn parameters.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from voltrack import (
     step_adaptive,
     step_garch,
 )
+from voltrack import filters
 from voltrack.filters import (
     _first_order,
     _fold_first_order,
@@ -339,8 +341,10 @@ class TestCompiledFirstOrder:
         # fused multiply-add, or that loses a sign of zero
         v0, xs, c_v, c, g = case
         expected = []
-        _fold_first_order(v0, xs.tolist(), c_v, c, g, expected)
-        assert _first_order(v0, xs, c_v, c, g).tobytes() == np.array(expected).tobytes()
+        final = _fold_first_order(v0, xs.tolist(), c_v, c, g, expected)
+        estimates, v = _first_order(v0, xs, c_v, c, g)
+        assert estimates.tobytes() == np.array(expected).tobytes()
+        assert np.float64(v).tobytes() == np.float64(final).tobytes()
 
 
 class TestStepGarch:
@@ -703,3 +707,51 @@ class TestRunStepProperties:
         assert np.array_equal(est, result.estimates)
         assert np.array_equal(res, result.residuals)
 
+
+def fused_kernel(b, a, x, axis, zi):
+    """A stand-in for the compiled kernel that forms g x + c_v y with one
+    rounding, as a fused multiply-add would, from exact fractions."""
+    g, c_v, z = Fraction(b[1]), Fraction(-a[1]), float(zi[0])
+    y = np.empty_like(x)
+    for i, xi in enumerate(x.tolist()):
+        y[i] = 0.0 * xi + z
+        z = float(g * Fraction(xi) + c_v * Fraction(float(y[i])))
+    return y, np.array([z])
+
+
+class TestOneFoldForRunAndSteps:
+    """run and the step functions reach the compiled kernel through the same
+    fold, so they agree bit for bit even with a kernel that rounds unlike
+    the Python fold."""
+
+    @pytest.fixture(autouse=True)
+    def fused(self, monkeypatch):
+        monkeypatch.setattr(filters, "_linear_filter", lambda: fused_kernel)
+
+    def test_level_filter(self):
+        xs = noisy_series(800)
+        n = xs.size
+        ext = ExtendedParams(k=0, theta=0.8, a_coeffs=(0.0,))
+        result = run(xs, ext)
+        sch = gain_schedule(0, ext.theta, n)
+        state = init_state(0, xs[: _warmup_count(n)])
+        est = []
+        for x in xs.tolist():
+            est.append(state.v_hat)
+            state, _ = step_adaptive(state, x, sch, ext)
+        assert np.array(est).tobytes() == result.estimates.tobytes()
+        python_fold = []
+        _fold_first_order(est[0], xs.tolist(), *_level_first_order(sch, ext), python_fold)
+        assert np.array(python_fold).tobytes() != result.estimates.tobytes()
+
+    def test_garch_twin(self):
+        xs = noisy_series(800)
+        par = GarchParams(p=1, q=1, k_const=0.0, g_coeffs=(0.7,), a_coeffs=(0.3,))
+        result = run(xs, par)
+        est = [float(xs[0])]
+        for x in xs.tolist()[:-1]:
+            est.append(step_garch((est, []), x, par)[0])
+        assert np.array(est).tobytes() == result.estimates.tobytes()
+        python_fold = []
+        _fold_first_order(est[0], xs.tolist(), 0.7, 0.0, 0.3, python_fold)
+        assert np.array(python_fold).tobytes() != result.estimates.tobytes()

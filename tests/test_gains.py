@@ -1,6 +1,7 @@
 """Gain design tests: Riccati solutions, gain schedules, stability checks.
 
-Oracles: the closed-form first-column table for small orders, scipy's
+Oracles: the closed-form first-column table for small orders, the
+Butterworth product for every order, scipy's
 general-purpose continuous Riccati solver on the equivalent standard-form
 problem, a hand-written residual evaluation, and explicit quadratic /
 polynomial-division root computations.
@@ -21,6 +22,8 @@ from voltrack import (
     stability_report,
     step_spectral_radius,
 )
+from voltrack import gains
+from voltrack.filters import _step_matrix
 
 # Closed forms for the first column of U, orders 0..4.
 CLOSED_FORMS = {
@@ -63,6 +66,31 @@ class TestSolveCare:
         for k, expected in CLOSED_FORMS.items():
             sol = solve_care(k)
             assert_allclose(sol.first_column, expected, rtol=0.0, atol=1e-9)
+
+    def test_butterworth_product_matches_closed_forms(self):
+        for k, expected in CLOSED_FORMS.items():
+            assert_allclose(gains._closed_form_column(k), expected, rtol=1e-15)
+
+    def test_newton_agrees_with_butterworth_product_for_all_orders(self):
+        for k in range(MAX_ORDER + 1):
+            column = solve_care(k).first_column
+            assert_allclose(column, gains._closed_form_column(k), rtol=0.0, atol=1e-12)
+
+    def test_error_shared_by_newton_and_residual_is_caught(self, monkeypatch):
+        # A Riccati equation written wrong where Newton and the residual both
+        # read it (here B B' scaled by 1 + 3e-7): the residual stays near 0,
+        # but the first column moves by about 1e-6 at k=6, past the product
+        noise = gains._noise_matrix
+        monkeypatch.setattr(gains, "_noise_matrix", lambda m: noise(m) * (1.0 + 3e-7))
+        solve_care.cache_clear()
+        try:
+            u = gains._newton_solve(6)
+            assert np.linalg.norm(gains._riccati_residual(6, u)) < 1e-9
+            assert np.max(np.abs(u[:, 0] - gains._closed_form_column(6))) > 1e-6
+            with pytest.raises(SolverError, match="closed form"):
+                solve_care(6)
+        finally:
+            solve_care.cache_clear()
 
     def test_residual_is_small_for_all_orders(self):
         for k in range(MAX_ORDER + 1):
@@ -225,6 +253,18 @@ class TestStepSpectralRadius:
         assert step_spectral_radius(0, 50.0, 125) >= 1.0
         assert_allclose(step_spectral_radius(0, 55.0, 125), 1.2, rtol=1e-12)
         assert_allclose(step_spectral_radius(0, 30.0, 4000), 0.880944921102385, rtol=1e-12)
+
+    def test_fold_built_matrix_is_the_pure_filter_step(self):
+        # column j is the fold's step from e_j on observation 0; the
+        # reference is I + N/n - g e_0' written out
+        for k in range(MAX_ORDER + 1):
+            for n in (2, 125, 4000, 100_000):
+                for theta in (0.01, 1.0, 55.0, 1000.0):
+                    g = gain_schedule(k, theta, n).step_gains
+                    step = np.eye(k + 1) + np.eye(k + 1, k=1) / n
+                    step[:, 0] -= g
+                    matrix = _step_matrix(k, theta, n)
+                    assert matrix.tobytes() == step.tobytes(), (k, n, theta)
 
     def test_against_the_characteristic_polynomial(self):
         # The eigenvalues are 1 + s for the roots s of

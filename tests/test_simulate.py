@@ -63,6 +63,22 @@ class TestFuncSpec:
         with pytest.raises(ValueError):
             FuncSpec("regime_switch", levels=(0.1, 0.2, 0.3), breakpoints=(0.6, 0.3))
 
+    @pytest.mark.parametrize(
+        "levels, breakpoints",
+        [
+            ((0.05, 0.2), (math.nan,)),
+            ((0.05, 0.2, 0.1), (0.5, math.nan)),
+            ((0.05, 0.2), (math.inf,)),
+            ((0.05, math.inf), (0.5,)),
+            ((math.nan,), ()),
+        ],
+    )
+    def test_regime_switch_non_finite_rejected(self, levels, breakpoints):
+        # a nan breakpoint compares false both ways, so it passed the order
+        # check and silently dropped the levels after it
+        with pytest.raises(ValueError, match="finite"):
+            FuncSpec("regime_switch", levels=levels, breakpoints=breakpoints)
+
     def test_sum_must_not_nest(self):
         inner = FuncSpec("sum", terms=(FuncSpec("constant", (1.0,)),))
         with pytest.raises(ValueError):
@@ -425,6 +441,16 @@ class TestScenarioConfig:
     def test_wrong_param_count_surfaces_as_data_error(self):
         text = "mu.kind = constant\nmu.params = 0.05, 0.3\nv.kind = constant\nv.params = 0.09\n"
         with pytest.raises(DataError, match="needs 1 params"):
+            parse_scenario_config(text)
+
+    @pytest.mark.parametrize("breakpoints", ["nan", "0.5, nan"])
+    def test_non_finite_breakpoint_surfaces_as_data_error(self, breakpoints):
+        levels = "0.05, 0.2" if breakpoints == "nan" else "0.05, 0.2, 0.1"
+        text = (
+            "mu.kind = constant\nmu.params = 0.05\nv.kind = regime_switch\n"
+            f"v.levels = {levels}\nv.breakpoints = {breakpoints}\n"
+        )
+        with pytest.raises(DataError, match="must be finite"):
             parse_scenario_config(text)
 
     def test_invalid_scenario_keeps_its_own_error(self):
