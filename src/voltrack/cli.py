@@ -43,12 +43,10 @@ from .simulate import (
     path_csv_text,
 )
 
-__all__ = ["PriceSeries", "RunConfig", "load_prices", "main"]
+__all__ = ["PriceSeries", "load_prices", "main"]
 
 DEFAULT_DELTA = 1.0 / 252.0
 
-# Explicit track flag -> the RunConfig field that holds its value.
-_FLAG_FIELDS = {"theta": "theta", "a": "a_coeffs", "level": "level", "g": "g_coeffs"}
 _PRICE_HEADERS = ("price", "adjclose", "adj_close", "close")
 
 
@@ -66,72 +64,6 @@ class PriceSeries:
             raise ValueError("prices must be positive and finite")
         if not (math.isfinite(self.delta) and self.delta > 0.0):
             raise ValueError(f"delta must be positive and finite, got {self.delta}")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Filter selection for the track command.
-
-    Exactly one of tune / explicit parameters must be given; which
-    explicit parameters a kind takes is declared in evaluation.METHODS.
-    """
-
-    kind: str
-    k: int | None = None
-    tune: bool = False
-    theta: float | None = None
-    a_coeffs: tuple[float, ...] | None = None
-    level: float | None = None
-    g_coeffs: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        method = METHODS.get(self.kind)
-        if method is None:
-            raise ValueError(f"unknown filter kind {self.kind!r}")
-        if self.kind == "adaptive-k":
-            if self.k is None:
-                raise ValueError("adaptive-k requires --k")
-        elif self.k is not None:
-            raise ValueError(f"--k does not apply to {self.kind}")
-        given = {
-            flag: getattr(self, field)
-            for flag, field in _FLAG_FIELDS.items()
-            if getattr(self, field) is not None
-        }
-        if self.tune:
-            if given:
-                raise ValueError("give either --tune or explicit parameters, not both")
-            return
-        if not given:
-            raise ValueError("give either --tune or explicit parameters")
-        for flag in given:
-            if flag not in method.flags:
-                takes = ", ".join(f"--{name}" for name in method.flags)
-                raise ValueError(
-                    f"--{flag} does not apply to {self.kind}; it takes only {takes}"
-                )
-        for flag, count in method.flags.items():
-            if count is None:
-                continue
-            if flag not in given:
-                raise ValueError(f"{self.kind} requires --{flag}")
-            if np.size(given[flag]) != count:
-                raise ValueError(f"{self.kind} requires --{flag} with {count} value(s)")
-        self.explicit_params()
-
-    def explicit_params(self) -> ExtendedParams | GarchParams:
-        """The parameters the explicit flags give; a and level default to zeros."""
-        a = self.a_coeffs
-        level = 0.0 if self.level is None else self.level
-        if self.g_coeffs is not None:
-            return GarchParams(len(self.g_coeffs), len(a), level, self.g_coeffs, a)
-        if self.k is not None:
-            k = self.k
-        else:
-            k = 0 if a is None else len(a) - 1
-        if a is None:
-            a = (0.0,) * (k + 1)
-        return ExtendedParams(k=k, theta=self.theta, a_coeffs=a, k_level=level)
 
 
 def load_prices(path, delta: float) -> PriceSeries:
@@ -284,15 +216,66 @@ def _distinct_outputs(args, *flag_paths: tuple[str, str | None]) -> None:
         seen[target] = flag
 
 
+def _check_k(args) -> None:
+    """--k is required by adaptive-k and refused by every other kind."""
+    if args.filter == "adaptive-k":
+        if args.k is None:
+            raise ValueError("adaptive-k requires --k")
+    elif args.k is not None:
+        raise ValueError(f"--k does not apply to {args.filter}")
+
+
+def _explicit_params(args) -> ExtendedParams | GarchParams | None:
+    """The parameters track's explicit flags give, None with --tune.
+
+    Exactly one of --tune / explicit parameters must be given; which
+    flags a kind takes, and how many values each, is declared in
+    evaluation.METHODS.  --a and --level default to zeros.
+    """
+    _check_k(args)
+    flags = METHODS[args.filter].flags
+    given = {
+        flag: getattr(args, flag)
+        for flag in ("theta", "a", "level", "g")
+        if getattr(args, flag) is not None
+    }
+    if args.tune:
+        if given:
+            raise ValueError("give either --tune or explicit parameters, not both")
+        return None
+    if not given:
+        raise ValueError("give either --tune or explicit parameters")
+    for flag in given:
+        if flag not in flags:
+            takes = ", ".join(f"--{name}" for name in flags)
+            raise ValueError(
+                f"--{flag} does not apply to {args.filter}; it takes only {takes}"
+            )
+    for flag, count in flags.items():
+        if count is None:
+            continue
+        if flag not in given:
+            raise ValueError(f"{args.filter} requires --{flag}")
+        if np.size(given[flag]) != count:
+            raise ValueError(f"{args.filter} requires --{flag} with {count} value(s)")
+    a, g = args.a, args.g
+    level = 0.0 if args.level is None else args.level
+    if g is not None:
+        return GarchParams(len(g), len(a), level, g, a)
+    k = args.k
+    if k is None:
+        k = 0 if a is None else len(a) - 1
+    if a is None:
+        a = (0.0,) * (k + 1)
+    return ExtendedParams(k=k, theta=args.theta, a_coeffs=a, k_level=level)
+
+
 def _cmd_track(args) -> int:
     _distinct_outputs(args, ("--out", args.out))
     xs = _load_xs(args)
-    explicit = {field: getattr(args, flag) for flag, field in _FLAG_FIELDS.items()}
-    config = RunConfig(kind=args.filter, k=args.k, tune=args.tune, **explicit)
-    if config.tune:
-        params = METHODS[config.kind].tune(xs, config.k).best_params
-    else:
-        params = config.explicit_params()
+    params = _explicit_params(args)
+    if params is None:
+        params = METHODS[args.filter].tune(xs, args.k).best_params
     result = run(xs, params)
     columns = (np.arange(xs.size), xs, result.estimates, result.residuals)
     _write(args.out, csv_text(("index", "x", "v_hat", "residual"), *columns))
@@ -303,7 +286,7 @@ def _cmd_track(args) -> int:
 def _cmd_tune(args) -> int:
     _distinct_outputs(args, ("--out", args.out))
     xs = _load_xs(args)
-    RunConfig(kind=args.filter, k=args.k, tune=True)
+    _check_k(args)
     report = METHODS[args.filter].tune(xs, args.k)
     _write(args.out, json_text("tuning", _tuning_doc(args.filter, report)))
     print(f"best_sn = {float_repr(report.best_sn)}")

@@ -192,7 +192,7 @@ def convergence_experiment(
         paths = sample_paths(
             scenario, n, [base_seed + seeds + idx, *range(base_seed, base_seed + seeds)]
         )
-        params = _pure_params(k, tune_filter0(next(paths).xs, k).best_params.theta)
+        params = tune_filter0(next(paths).xs, k).best_params
         per_seed = [
             vn_metric(path.v_bar, run(path.xs, params).estimates, burn) for path in paths
         ]
@@ -317,7 +317,7 @@ def shift_sensitivity(
         raise ValueError("need at least one seed")
     burn = burn_in_index(n, k, burn_c)
     paths = sample_paths(scenario, n, [base_seed + seeds, *range(base_seed, base_seed + seeds)])
-    params = _pure_params(k, tune_filter0(next(paths).xs, k).best_params.theta)
+    params = tune_filter0(next(paths).xs, k).best_params
     rel_changes = []
     for path in paths:
         shift = decomposition_diagnostics(scenario, path).theta

@@ -226,12 +226,17 @@ def sample_paths(scenario: Scenario, n: int, seeds: Iterable[int]) -> Iterator[P
     every path.  Log-return i is drawn as Normal(delta*(mu_bar[i] -
     v_bar[i]/2), delta*v_bar[i]); the observation series is then
     recomputed from the realized prices so it reconstructs exactly.
+    Every seed is checked before the first path is drawn.
     """
     if n < 2:
         raise ValueError(f"sample size n must be at least 2, got {n}")
     delta = scenario.horizon_t / n
     if delta == 0.0:
         raise ScenarioError(f"interval length T/n underflows to zero at n = {n}")
+    seeds = list(seeds)
+    for seed in seeds:
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
     with np.errstate(all="ignore"):
         v_bar = _interval_means(scenario.v_spec, scenario.horizon_t, n, require_positive=True)
         mu_bar = _interval_means(scenario.mu_spec, scenario.horizon_t, n)

@@ -35,9 +35,11 @@ from voltrack import (
     load_prices,
     main,
     path_csv_text,
+    run,
 )
-from voltrack.cli import DEFAULT_DELTA, PriceSeries, RunConfig, build_parser
+from voltrack.cli import DEFAULT_DELTA, PriceSeries, build_parser
 from voltrack.evaluation import BENCH_METHODS, METHODS
+from voltrack.ioutil import float_repr
 
 SCENARIO_TEXT = """\
 # sinusoidal volatility around a constant drift
@@ -192,59 +194,132 @@ class TestPriceSeries:
 
 
 class TestRunConfig:
-    def test_tune_and_explicit_exclusive(self):
-        with pytest.raises(ValueError, match="not both"):
-            RunConfig(kind="filter0", tune=True, theta=0.5)
-        with pytest.raises(ValueError, match="either"):
-            RunConfig(kind="filter0")
+    """track's filter flags, checked through main against evaluation.METHODS.
 
-    def test_garch_requirements(self):
-        cfg = RunConfig(kind="garch11", level=0.01, g_coeffs=(0.8,), a_coeffs=(0.1,))
-        par = cfg.explicit_params()
-        assert isinstance(par, GarchParams) and par.p == 1
-        with pytest.raises(ValueError, match="--level"):
-            RunConfig(kind="garch11", g_coeffs=(0.8,), a_coeffs=(0.1,))
-        with pytest.raises(ValueError, match="--g with 2"):
-            RunConfig(kind="garch22", level=0.01, g_coeffs=(0.8,), a_coeffs=(0.1, 0.0))
-        with pytest.raises(ValueError, match="--theta does not apply"):
-            RunConfig(kind="garch11", theta=0.5, level=0.01, g_coeffs=(0.8,), a_coeffs=(0.1,))
+    A refused flag set exits 1 with one error line and writes nothing.  An
+    accepted one prints the s_n of run on the parameters the flags name.
+    """
 
-    def test_filter0_takes_only_theta(self):
-        cfg = RunConfig(kind="filter0", theta=0.5)
-        par = cfg.explicit_params()
-        assert isinstance(par, ExtendedParams)
-        assert par.k == 0 and par.a_coeffs == (0.0,) and par.k_level == 0.0
-        with pytest.raises(ValueError, match="only --theta"):
-            RunConfig(kind="filter0", theta=0.5, level=0.01)
+    def track(self, tmp_path, flags):
+        prices = write_prices(tmp_path)
+        out = tmp_path / "est.csv"
+        out.unlink(missing_ok=True)
+        code = main(["track", "--input", prices, *flags.split(), "--out", str(out)])
+        return code, out, prices
 
-    def test_filter1_and_filter2_requirements(self):
-        cfg = RunConfig(kind="filter1", theta=0.5, a_coeffs=(2.0,), level=0.09)
-        assert cfg.explicit_params().k == 0
-        cfg = RunConfig(kind="filter2", theta=0.5, a_coeffs=(2.0, 1.0), level=0.09)
-        assert cfg.explicit_params().k == 1
-        with pytest.raises(ValueError, match="--a with 1"):
-            RunConfig(kind="filter1", theta=0.5, a_coeffs=(2.0, 1.0), level=0.09)
-        with pytest.raises(ValueError, match="--a with 2"):
-            RunConfig(kind="filter2", theta=0.5, a_coeffs=(2.0,), level=0.09)
-        with pytest.raises(ValueError, match="requires --theta"):
-            RunConfig(kind="filter1", a_coeffs=(2.0,), level=0.09)
-        with pytest.raises(ValueError, match="--g does not apply"):
-            RunConfig(kind="filter1", theta=0.5, a_coeffs=(2.0,), level=0.09, g_coeffs=(0.5,))
+    def assert_refused(self, tmp_path, capsys, flags, message):
+        code, out, _ = self.track(tmp_path, flags)
+        assert (code, capsys.readouterr()) == (1, ("", f"error: {message}\n"))
+        assert not out.exists()
 
-    def test_adaptive_k_requirements(self):
-        cfg = RunConfig(kind="adaptive-k", k=2, theta=0.5)
-        par = cfg.explicit_params()
-        assert par.k == 2 and par.a_coeffs == (0.0, 0.0, 0.0)
-        with pytest.raises(ValueError, match="requires --k"):
-            RunConfig(kind="adaptive-k", theta=0.5)
-        with pytest.raises(ValueError, match="does not apply"):
-            RunConfig(kind="filter0", k=1, theta=0.5)
-        with pytest.raises(ValueError, match="k\\+1=3"):
-            RunConfig(kind="adaptive-k", k=2, theta=0.5, a_coeffs=(1.0,))
+    def assert_runs(self, tmp_path, capsys, flags, params):
+        code, out, prices = self.track(tmp_path, flags)
+        series = load_prices(prices, DEFAULT_DELTA)
+        s_n = run(compute_heteroscedasticity(series.prices, series.delta), params).s_n
+        assert (code, capsys.readouterr().out) == (0, f"s_n = {float_repr(s_n)}\n")
+        assert out.exists()
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown filter kind"):
-            RunConfig(kind="kalman", theta=0.5)
+    def test_tune_and_explicit_exclusive(self, tmp_path, capsys):
+        self.assert_refused(
+            tmp_path,
+            capsys,
+            "--filter filter0 --tune --theta 0.5",
+            "give either --tune or explicit parameters, not both",
+        )
+        self.assert_refused(
+            tmp_path,
+            capsys,
+            "--filter filter0",
+            "give either --tune or explicit parameters",
+        )
+
+    def test_garch_requirements(self, tmp_path, capsys):
+        self.assert_runs(
+            tmp_path,
+            capsys,
+            "--filter garch11 --level 0.01 --g 0.8 --a 0.1",
+            GarchParams(1, 1, 0.01, (0.8,), (0.1,)),
+        )
+        for flags, message in [
+            ("--filter garch11 --g 0.8 --a 0.1", "garch11 requires --level"),
+            (
+                "--filter garch22 --level 0.01 --g 0.8 --a 0.1,0.0",
+                "garch22 requires --g with 2 value(s)",
+            ),
+            (
+                "--filter garch11 --theta 0.5 --level 0.01 --g 0.8 --a 0.1",
+                "--theta does not apply to garch11; it takes only --level, --g, --a",
+            ),
+        ]:
+            self.assert_refused(tmp_path, capsys, flags, message)
+
+    def test_filter0_takes_only_theta(self, tmp_path, capsys):
+        self.assert_runs(
+            tmp_path,
+            capsys,
+            "--filter filter0 --theta 0.5",
+            ExtendedParams(k=0, theta=0.5, a_coeffs=(0.0,), k_level=0.0),
+        )
+        self.assert_refused(
+            tmp_path,
+            capsys,
+            "--filter filter0 --theta 0.5 --level 0.01",
+            "--level does not apply to filter0; it takes only --theta",
+        )
+
+    def test_filter1_and_filter2_requirements(self, tmp_path, capsys):
+        self.assert_runs(
+            tmp_path,
+            capsys,
+            "--filter filter1 --theta 0.5 --a 2.0 --level 0.09",
+            ExtendedParams(k=0, theta=0.5, a_coeffs=(2.0,), k_level=0.09),
+        )
+        self.assert_runs(
+            tmp_path,
+            capsys,
+            "--filter filter2 --theta 0.5 --a 2.0,1.0 --level 0.09",
+            ExtendedParams(k=1, theta=0.5, a_coeffs=(2.0, 1.0), k_level=0.09),
+        )
+        for flags, message in [
+            (
+                "--filter filter1 --theta 0.5 --a 2.0,1.0 --level 0.09",
+                "filter1 requires --a with 1 value(s)",
+            ),
+            (
+                "--filter filter2 --theta 0.5 --a 2.0 --level 0.09",
+                "filter2 requires --a with 2 value(s)",
+            ),
+            ("--filter filter1 --a 2.0 --level 0.09", "filter1 requires --theta"),
+            (
+                "--filter filter1 --theta 0.5 --a 2.0 --level 0.09 --g 0.5",
+                "--g does not apply to filter1; it takes only --theta, --a, --level",
+            ),
+        ]:
+            self.assert_refused(tmp_path, capsys, flags, message)
+
+    def test_adaptive_k_requirements(self, tmp_path, capsys):
+        self.assert_runs(
+            tmp_path,
+            capsys,
+            "--filter adaptive-k --k 2 --theta 0.5",
+            ExtendedParams(k=2, theta=0.5, a_coeffs=(0.0, 0.0, 0.0), k_level=0.0),
+        )
+        for flags, message in [
+            ("--filter adaptive-k --theta 0.5", "adaptive-k requires --k"),
+            ("--filter filter0 --k 1 --theta 0.5", "--k does not apply to filter0"),
+            (
+                "--filter adaptive-k --k 2 --theta 0.5 --a 1.0",
+                "a_coeffs must have length k+1=3, got 1",
+            ),
+        ]:
+            self.assert_refused(tmp_path, capsys, flags, message)
+
+    def test_unknown_kind(self, tmp_path, capsys):
+        # argparse's --filter choices refuse it before any command runs
+        code, out, _ = self.track(tmp_path, "--filter kalman --theta 0.5")
+        assert code == 2
+        assert "invalid choice: 'kalman'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestExitCodes:
@@ -618,6 +693,18 @@ class TestSimulate:
         printed = capsys.readouterr().out
         assert "delta = " in printed
 
+    def test_negative_seed_named_in_the_error(self, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        code = main(
+            ["simulate", "--scenario", write_scenario(tmp_path), "--n", "100",
+             "--seed", "-1", "--out", str(out)]
+        )
+        assert (code, capsys.readouterr()) == (
+            1,
+            ("", "error: seed must be non-negative, got -1\n"),
+        )
+        assert not out.exists()
+
     def test_non_finite_breakpoint_exits_one(self, tmp_path, capsys):
         scenario = tmp_path / "switch.cfg"
         scenario.write_text(
@@ -904,6 +991,24 @@ class TestConvergence:
         assert code == 1
         err = capsys.readouterr().err
         assert err == "error: scale factor c must be positive and finite, got inf\n"
+        assert not out.exists()
+
+    def test_negative_base_seed_refused_before_tuning(self, tmp_path, capsys, monkeypatch):
+        # the held-out path (seed base + seeds = 5) is valid, so only a check
+        # of every seed before the first path keeps the tuner from running
+        def forbidden(*args, **kwargs):
+            raise AssertionError("tuned before the seeds were checked")
+
+        monkeypatch.setattr("voltrack.evaluation.tune_filter0", forbidden)
+        out = tmp_path / "c.csv"
+        code = main(
+            ["convergence", "--scenario", write_scenario(tmp_path), "--n", "100,300,1000",
+             "--base-seed", "-5", "--seeds", "10", "--out", str(out)]
+        )
+        assert (code, capsys.readouterr()) == (
+            1,
+            ("", "error: seed must be non-negative, got -5\n"),
+        )
         assert not out.exists()
 
     def test_plot_out_on_out_exits_one(self, tmp_path, capsys):

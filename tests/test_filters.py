@@ -347,6 +347,27 @@ class TestCompiledFirstOrder:
         assert np.float64(v).tobytes() == np.float64(final).tobytes()
 
 
+class TestKernelFallback:
+    def test_public_lfilter_gives_the_kernels_bits(self, monkeypatch, tmp_path):
+        # A SciPy whose scipy/signal folder holds no _sigtools file: the
+        # lookup falls back to the public lfilter, which runs the same routine
+        case = (0.09, noisy_series(5000), 0.95, 0.0, 0.05)  # c = +0.0: the kernel's case
+        filters._linear_filter.cache_clear()
+        private = _first_order(*case)
+        monkeypatch.setattr(filters.scipy, "__file__", str(tmp_path / "__init__.py"))
+        filters._linear_filter.cache_clear()
+        try:
+            kernel = filters._linear_filter()
+            public = _first_order(*case)
+        finally:
+            filters._linear_filter.cache_clear()
+        from scipy.signal import lfilter
+
+        assert kernel is lfilter
+        assert public[0].tobytes() == private[0].tobytes()
+        assert np.float64(public[1]).tobytes() == np.float64(private[1]).tobytes()
+
+
 class TestStepGarch:
     def test_single_step_arithmetic(self):
         # 0.01 + 0.9 * 0.1 + 0.05 * 0.2 = 0.11.

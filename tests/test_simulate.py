@@ -599,6 +599,13 @@ class TestSamplePaths:
             next(sample_paths(CONST, 1, [0]))
         assert list(sample_paths(CONST, 10, [])) == []
 
+    def test_every_seed_checked_before_the_first_path(self):
+        # seed 5 is valid, so its path would come first without the check
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -5$"):
+            next(sample_paths(CONST, 10, [5, -5, 6]))
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+            generate_path(CONST, 10, -1)
+
     @pytest.mark.parametrize(
         "scen, n, match",
         [
