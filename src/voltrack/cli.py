@@ -79,6 +79,8 @@ def load_prices(path, delta: float) -> PriceSeries:
             prices = _read_price_rows(path, csv.reader(handle))
     except csv.Error as exc:
         raise DataError(f"{path}: malformed CSV: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from exc
     if len(prices) < 2:
         raise DataError(f"{path}: need at least 2 prices, got {len(prices)}")
     arr = np.asarray(prices)
@@ -137,9 +139,15 @@ _float_list = partial(_number_list, float)
 _int_list = partial(_number_list, int)
 
 
+def _not_utf8(path, exc: UnicodeDecodeError) -> DataError:
+    return DataError(f"{path}: not UTF-8 text: {exc.reason}")
+
+
 def _read_text(path) -> str:
-    with open(path, encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from exc
 
 
 def _delta(args) -> float:
@@ -272,8 +280,8 @@ def _explicit_params(args) -> ExtendedParams | GarchParams | None:
 
 def _cmd_track(args) -> int:
     _distinct_outputs(args, ("--out", args.out))
-    xs = _load_xs(args)
     params = _explicit_params(args)
+    xs = _load_xs(args)
     if params is None:
         params = METHODS[args.filter].tune(xs, args.k).best_params
     result = run(xs, params)
@@ -285,8 +293,8 @@ def _cmd_track(args) -> int:
 
 def _cmd_tune(args) -> int:
     _distinct_outputs(args, ("--out", args.out))
-    xs = _load_xs(args)
     _check_k(args)
+    xs = _load_xs(args)
     report = METHODS[args.filter].tune(xs, args.k)
     _write(args.out, json_text("tuning", _tuning_doc(args.filter, report)))
     print(f"best_sn = {float_repr(report.best_sn)}")

@@ -43,8 +43,10 @@ __all__ = [
     "path_csv_text",
 ]
 
-_KINDS = ("constant", "linear", "sinusoid", "regime_switch", "sum")
 _PARAM_COUNTS = {"constant": 1, "linear": 2, "sinusoid": 4}
+# the data fields each kind reads; a kind refuses every other field
+_FIELDS = dict(dict.fromkeys(_PARAM_COUNTS, ("params",)),
+               regime_switch=("levels", "breakpoints"), sum=("terms",))
 _QUAD_PANELS = 16
 _QUAD_BLOCK = 32768  # intervals per quadrature block, so huge paths stay cheap on memory
 # Simpson's weighted sums reach 48 times a node value; scaling by an exact
@@ -60,7 +62,8 @@ class FuncSpec:
     Kinds: constant(c); linear(c0, c1); sinusoid(base, amplitude,
     frequency, phase) meaning base + amplitude*sin(2*pi*frequency*t +
     phase); regime_switch(levels, breakpoints) holding levels[i] between
-    consecutive breakpoints; sum of non-sum terms.
+    consecutive breakpoints; sum of non-sum terms.  A kind takes only
+    its own fields.  `smoothness_order` states the function's class.
     """
 
     kind: str
@@ -70,8 +73,11 @@ class FuncSpec:
     terms: tuple["FuncSpec", ...] = ()
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in _FIELDS:
             raise ValueError(f"unknown spec kind {self.kind!r}")
+        for name in ("params", "levels", "breakpoints", "terms"):
+            if len(getattr(self, name)) and name not in _FIELDS[self.kind]:
+                raise ValueError(f"{self.kind} spec takes no {name}")
         if self.kind in _PARAM_COUNTS:
             want = _PARAM_COUNTS[self.kind]
             if len(self.params) != want:
@@ -79,7 +85,7 @@ class FuncSpec:
             if not all(math.isfinite(p) for p in self.params):
                 raise ValueError("spec params must be finite")
         elif self.kind == "regime_switch":
-            if len(self.levels) < 1 or len(self.levels) != len(self.breakpoints) + 1:
+            if len(self.levels) != len(self.breakpoints) + 1:
                 raise ValueError("regime_switch needs len(levels) == len(breakpoints)+1")
             if not all(math.isfinite(v) for v in (*self.levels, *self.breakpoints)):
                 raise ValueError("regime_switch levels and breakpoints must be finite")
@@ -111,21 +117,13 @@ class FuncSpec:
 
     @property
     def smoothness_order(self) -> float:
-        """Largest k this function supports; inf for smooth kinds, 0 at jumps."""
+        """The largest k of the k-times differentiable class the function
+        lies in: inf for the smooth kinds, 0 where it jumps (not Lipschitz)."""
         if self.kind == "regime_switch":
             return 0.0
         if self.kind == "sum":
             return min(t.smoothness_order for t in self.terms)
         return math.inf
-
-    @property
-    def lipschitz_violating(self) -> bool:
-        """True when the function jumps (regime switches)."""
-        if self.kind == "regime_switch":
-            return True
-        if self.kind == "sum":
-            return any(t.lipschitz_violating for t in self.terms)
-        return False
 
 
 @dataclass(frozen=True)
@@ -155,14 +153,6 @@ class Scenario:
             raise ScenarioError("volatility spec must be finite and strictly positive on [0, T]")
         if not np.all(np.isfinite(mu)) or np.any(mu <= 0.0):
             raise ScenarioError("drift spec must be finite and strictly positive on [0, T]")
-
-    @property
-    def smoothness_order(self) -> float:
-        return self.v_spec.smoothness_order
-
-    @property
-    def lipschitz_violating(self) -> bool:
-        return self.v_spec.lipschitz_violating
 
 
 @dataclass(frozen=True)
@@ -313,17 +303,13 @@ def decomposition_diagnostics(scenario: Scenario, path: PathResult) -> NoiseDeco
 
 def _format_spec(prefix: str, spec: FuncSpec, lines: list[str]) -> None:
     lines.append(f"{prefix}.kind = {spec.kind}")
-    if spec.kind in _PARAM_COUNTS:
-        lines.append(f"{prefix}.params = " + ", ".join(float_repr(p) for p in spec.params))
-    elif spec.kind == "regime_switch":
-        lines.append(f"{prefix}.levels = " + ", ".join(float_repr(p) for p in spec.levels))
-        lines.append(
-            f"{prefix}.breakpoints = " + ", ".join(float_repr(p) for p in spec.breakpoints)
-        )
-    else:
+    if spec.kind == "sum":
         lines.append(f"{prefix}.terms = {len(spec.terms)}")
         for i, term in enumerate(spec.terms, start=1):
             _format_spec(f"{prefix}.term{i}", term, lines)
+        return
+    for name in _FIELDS[spec.kind]:
+        lines.append(f"{prefix}.{name} = " + ", ".join(map(float_repr, getattr(spec, name))))
 
 
 def format_scenario_config(scenario: Scenario) -> str:

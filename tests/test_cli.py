@@ -24,16 +24,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import voltrack.cli as cli
 from voltrack import (
     DataError,
     ExtendedParams,
     FuncSpec,
     GarchParams,
     Scenario,
+    ScenarioError,
     compute_heteroscedasticity,
     generate_path,
     load_prices,
     main,
+    parse_scenario_config,
     path_csv_text,
     run,
 )
@@ -179,6 +182,22 @@ class TestLoadPrices:
     def test_missing_file_raises_os_error(self, tmp_path):
         with pytest.raises(OSError):
             load_prices(str(tmp_path / "nope.csv"), DEFAULT_DELTA)
+
+    @pytest.mark.parametrize(
+        "data, reason",
+        [
+            (b"\x80price\n50.0\n51.5\n", "invalid start byte"),
+            # far past the first block the reader decodes
+            (b"price\n" + b"50.0\n" * 5000 + b"5\xe91.5\n", "invalid continuation byte"),
+        ],
+        ids=["first byte", "past the first block"],
+    )
+    def test_non_utf8_file_named_in_the_error(self, tmp_path, data, reason):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(data)
+        with pytest.raises(DataError) as info:
+            load_prices(str(path), DEFAULT_DELTA)
+        assert str(info.value) == f"{path}: not UTF-8 text: {reason}"
 
 
 class TestPriceSeries:
@@ -432,6 +451,62 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: --delta does not apply to --scenario\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, data, reason",
+        [
+            ("track --filter filter0 --theta 0.5 --input", b"\x80price\n50.0\n51.5\n",
+             "invalid start byte"),
+            ("simulate --n 10 --scenario", SCENARIO_TEXT.encode().replace(b"sinus", b"r\xe9gime"),
+             "invalid continuation byte"),
+        ],
+        ids=["track", "simulate"],
+    )
+    def test_non_utf8_input_named_in_the_error(self, tmp_path, capsys, argv, data, reason):
+        path, out = tmp_path / "latin1", tmp_path / "out.csv"
+        path.write_bytes(data)
+        code = main([*argv.split(), str(path), "--out", str(out)])
+        assert (code, capsys.readouterr()) == (
+            1,
+            ("", f"error: {path}: not UTF-8 text: {reason}\n"),
+        )
+        assert not out.exists()
+
+
+class TestFlagsBeforeInput:
+    """track and tune refuse their filter flags before they read or
+    simulate the series, so a refused flag set costs nothing and its error
+    is not hidden behind an input error."""
+
+    @pytest.fixture(autouse=True)
+    def series_never_loaded(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the series was loaded")
+
+        monkeypatch.setattr(cli, "load_prices", refuse)
+        monkeypatch.setattr(cli, "generate_path", refuse)
+
+    @pytest.mark.parametrize("source", ["--input missing.csv", "--scenario missing.cfg --n 50000"])
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("track --filter filter0 --level 1",
+             "--level does not apply to filter0; it takes only --theta"),
+            ("track --filter filter0", "give either --tune or explicit parameters"),
+            ("track --filter garch11 --g 0.8", "garch11 requires --level"),
+            ("tune --filter filter0 --k 2", "--k does not apply to filter0"),
+            ("tune --filter adaptive-k", "adaptive-k requires --k"),
+        ],
+    )
+    def test_refused_flags_win_over_a_missing_input(
+        self, tmp_path, capsys, source, argv, message
+    ):
+        command, *flags = argv.split()
+        flag, name, *rest = source.split()
+        out = tmp_path / "out"
+        code = main([command, flag, str(tmp_path / name), *rest, *flags, "--out", str(out)])
+        assert (code, capsys.readouterr()) == (1, ("", f"error: {message}\n"))
+        assert not out.exists()
+
 
 class TestTrack:
     def test_explicit_filter_on_prices(self, tmp_path, capsys):
@@ -675,6 +750,14 @@ def extreme_configs(draw) -> str:
     return "\n".join(lines) + "\n"
 
 
+def quiet_main(argv) -> tuple[int, str, str]:
+    """main's exit code, stdout and stderr."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
 class TestSimulate:
     def test_reruns_are_byte_identical(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path)
@@ -773,11 +856,8 @@ class TestSimulate:
         with tempfile.TemporaryDirectory() as tmp:
             cfg, out = Path(tmp, "s.cfg"), Path(tmp, "path.csv")
             cfg.write_text(config)
-            stdout, stderr = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = main(["simulate", "--scenario", str(cfg), "--n", str(n),
-                             "--seed", str(seed), "--out", str(out)])
-            err = stderr.getvalue()
+            code, _, err = quiet_main(["simulate", "--scenario", str(cfg), "--n", str(n),
+                                       "--seed", str(seed), "--out", str(out)])
             if code == 1:
                 assert err.startswith("error: ") and err.count("\n") == 1
                 assert not out.exists()
@@ -788,6 +868,118 @@ class TestSimulate:
         values = np.array([row[1:] for row in rows], dtype=float)
         assert np.all(np.isfinite(values))
         assert np.all(values[:, 0] > 0.0)
+
+
+def _with_junk(text: st.SearchStrategy) -> st.SearchStrategy:
+    """The text's UTF-8 bytes, sometimes with one stray byte put in at a
+    drawn offset: a continuation byte, a lead byte or a byte UTF-8 never
+    uses.  Any of them leaves the bytes invalid UTF-8."""
+    junk = st.sampled_from([b"", b"", b"\x80", b"\xe9", b"\xff", b"\xc3"])
+    return st.tuples(text, junk, st.integers(0, 400)).map(
+        lambda t: t[0].encode()[: t[2]] + t[1] + t[0].encode()[t[2]:]
+    )
+
+
+_CONFIG_KEYS = ["T", "s0", "x"] + [
+    f"{prefix}.{field}"
+    for prefix in ("mu", "v", "v.term1", "v.term2", "v.term1.term1")
+    for field in ("kind", "params", "levels", "breakpoints", "terms")
+]
+_CONFIG_VALUES = st.one_of(
+    st.sampled_from(["constant", "linear", "sinusoid", "regime_switch", "sum", "cubic"]),
+    st.sampled_from(["", "0", "1", "2", "-1", "10**9", "0.05, 0.2", "0.5,", ",", "nan", "-inf"]),
+    st.lists(st.floats(), max_size=5).map(lambda xs: ", ".join(map(repr, xs))),
+    st.text(max_size=12),
+)
+_CONFIG_LINES = st.one_of(
+    st.tuples(st.sampled_from(_CONFIG_KEYS), _CONFIG_VALUES).map(" = ".join),
+    st.text(max_size=24),
+)
+
+
+@st.composite
+def fuzzed_configs(draw) -> str:
+    """Config text: the lines of a well-formed config, each kept or not,
+    shuffled with fuzzed key = value lines and free text."""
+    kept = st.integers(0, 9).map(bool)
+    lines = [line for line in draw(extreme_configs()).splitlines() if draw(kept)]
+    lines += draw(st.lists(_CONFIG_LINES, max_size=4))
+    return "\n".join(draw(st.permutations(lines)))
+
+
+_PRICES = st.floats(5e-324, 1e308).map(repr)
+_CELLS = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["", "0", "-1", "nan", "price", " 2.5 ", '"5"', '"5\n0', "1_0", "\x00"]),
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def fuzzed_price_csvs(draw) -> str:
+    """Price CSV text: a header, rows of positive prices as wide as the
+    header, and a few rows of fuzzed cells among them, with any line ends
+    and an optional byte-order mark."""
+    names = st.sampled_from(["price", "date", "Close", "adj_close", "value", "1.5"])
+    header = draw(st.lists(names | st.text(max_size=6), min_size=1, max_size=3))
+    width = len(header)
+    rows = draw(st.lists(st.lists(_PRICES, min_size=width, max_size=width), max_size=8))
+    rows += draw(st.lists(st.lists(_CELLS, max_size=width + 1), max_size=2))
+    lines = [header, *draw(st.permutations(rows))]
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return bom + end.join(",".join(cells) for cells in lines) + draw(st.sampled_from(["", end]))
+
+
+class TestFuzzedInputs:
+    """Whatever a price CSV or scenario config holds, reading it either
+    succeeds or raises DataError or ScenarioError, and the CLI exits 1 on
+    it with one error line and no traceback."""
+
+    @settings(max_examples=400)
+    @given(fuzzed_configs())
+    def test_config_text_raises_only_data_or_scenario_errors(self, text):
+        try:
+            parse_scenario_config(text)
+        except (DataError, ScenarioError):
+            pass
+
+    @settings(max_examples=150)
+    @given(_with_junk(fuzzed_configs()))
+    def test_simulate_on_a_fuzzed_config_exits_cleanly(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = Path(tmp, "s.cfg"), Path(tmp, "path.csv")
+            cfg.write_bytes(data)
+            argv = ["simulate", "--scenario", str(cfg), "--n", "10", "--out", str(out)]
+            code, stdout, stderr = quiet_main(argv)
+            assert out.exists() == (code == 0)
+        if code == 0:
+            assert stderr == ""
+        else:
+            assert (code, stdout) == (1, "")
+            assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        try:
+            data.decode()
+        except UnicodeDecodeError:
+            assert stderr.startswith(f"error: {cfg}: not UTF-8 text: ")
+
+    @settings(max_examples=400)
+    @given(_with_junk(fuzzed_price_csvs()) | st.binary(max_size=64))
+    def test_price_csv_raises_only_data_errors_naming_the_file(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp, "p.csv"), Path(tmp, "est.csv")
+            path.write_bytes(data)
+            try:
+                load_prices(str(path), DEFAULT_DELTA)
+            except DataError as exc:
+                message = str(exc)
+            else:
+                return  # an accepted series goes on to the filter, not checked here
+            assert message.startswith(f"{path}: ")
+            argv = ["track", "--input", str(path), "--filter", "filter0", "--theta", "0.5",
+                    "--out", str(out)]
+            assert quiet_main(argv) == (1, "", f"error: {message}\n")
+            assert not out.exists()
 
 
 class TestBench:

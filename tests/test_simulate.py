@@ -34,6 +34,8 @@ CONST = Scenario(
     v_spec=FuncSpec("constant", (0.09,)),
 )
 
+ONE = FuncSpec("constant", (1.0,))
+
 SINU = Scenario(
     mu_spec=FuncSpec("constant", (0.05,)),
     v_spec=FuncSpec("sinusoid", (0.09, 0.04, 2.0, 0.3)),
@@ -115,22 +117,43 @@ class TestFuncSpec:
         t = np.array([0.0, 1.0])
         assert_allclose(spec.values(t), [0.05, 0.07], rtol=1e-15)
 
-    def test_smoothness_and_lipschitz_flags(self):
-        smooth = FuncSpec("sinusoid", (0.09, 0.04, 2.0, 0.0))
+    def test_smoothness_order(self):
+        smooth = (
+            FuncSpec("constant", (0.09,)),
+            FuncSpec("linear", (0.09, 0.01)),
+            FuncSpec("sinusoid", (0.09, 0.04, 2.0, 0.0)),
+        )
         jumpy = FuncSpec("regime_switch", levels=(0.04, 0.16), breakpoints=(0.5,))
-        assert smooth.smoothness_order == math.inf
-        assert not smooth.lipschitz_violating
-        assert jumpy.smoothness_order == 0.0
-        assert jumpy.lipschitz_violating
-        mixed = FuncSpec("sum", terms=(smooth, jumpy))
-        assert mixed.smoothness_order == 0.0
-        assert mixed.lipschitz_violating
+        flat = FuncSpec("regime_switch", levels=(0.04,))
+        assert [spec.smoothness_order for spec in smooth] == [math.inf] * 3
+        assert jumpy.smoothness_order == flat.smoothness_order == 0.0
+        # a sum is as smooth as its roughest term
+        assert FuncSpec("sum", terms=smooth).smoothness_order == math.inf
+        assert FuncSpec("sum", terms=(*smooth, jumpy)).smoothness_order == 0.0
+
+    @pytest.mark.parametrize(
+        "kind, fields, stray",
+        [
+            ("constant", {"params": (0.05,), "levels": (1.0, 2.0), "breakpoints": (0.5,)},
+             "levels"),
+            ("linear", {"params": (0.05, 0.1), "breakpoints": (0.5,)}, "breakpoints"),
+            ("sinusoid", {"params": (0.1, 0.05, 1.0, 0.0), "terms": (ONE,)}, "terms"),
+            ("regime_switch", {"params": (9.0,), "levels": (0.1,)}, "params"),
+            ("sum", {"terms": (ONE,), "levels": (0.1,)}, "levels"),
+            ("sum", {"terms": (ONE,), "params": (0.1,)}, "params"),
+        ],
+    )
+    def test_fields_of_another_kind_refused(self, kind, fields, stray):
+        # an ignored field would be dropped by format_scenario_config, and
+        # the scenario would parse back unequal
+        with pytest.raises(ValueError, match=f"^{kind} spec takes no {stray}$"):
+            FuncSpec(kind, **fields)
 
 
 class TestScenario:
     def test_valid_scenario(self):
         assert CONST.horizon_t == 1.0 and CONST.s0 == 1.0
-        assert CONST.smoothness_order == math.inf
+        assert CONST.v_spec.smoothness_order == math.inf
 
     def test_rejects_non_positive_volatility(self):
         with pytest.raises(ScenarioError):
@@ -497,10 +520,34 @@ def scenarios(draw):
     )
 
 
+@st.composite
+def field_mixes(draw):
+    """FuncSpec arguments: the kind and fields of a positive spec, each of
+    its four data fields kept or swapped for the same field of another
+    positive spec of any kind, so empty or not whatever the kind."""
+    spec = draw(positive_specs())
+    fields = {"kind": spec.kind}
+    for name in ("params", "levels", "breakpoints", "terms"):
+        source = draw(positive_specs()) if draw(st.booleans()) else spec
+        fields[name] = getattr(source, name)
+    return fields
+
+
 class TestScenarioConfigProperties:
     @settings(max_examples=60)
     @given(scenarios())
     def test_format_then_parse_is_identity(self, scen):
+        assert parse_scenario_config(format_scenario_config(scen)) == scen
+
+    @settings(max_examples=300)
+    @given(field_mixes())
+    def test_a_spec_is_refused_or_round_trips(self, fields):
+        # a field the kind does not read would be dropped by the format
+        try:
+            spec = FuncSpec(**fields)
+        except ValueError:
+            return
+        scen = Scenario(mu_spec=spec, v_spec=spec)
         assert parse_scenario_config(format_scenario_config(scen)) == scen
 
 
