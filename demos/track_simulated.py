@@ -30,15 +30,11 @@ print(f"true volatility range: [{path.v_bar.min():.4f}, {path.v_bar.max():.4f}]"
 print()
 
 candidates = {
-    "pure filter (k=0, theta=1)": ExtendedParams(
-        k=0, theta=1.0, a_coeffs=(0.0,), k_level=0.0
-    ),
+    "pure filter (k=0, theta=1)": ExtendedParams(k=0, theta=1.0),
     "level filter (a1=2, K=mean)": ExtendedParams(
         k=0, theta=1.0, a_coeffs=(2.0,), k_level=float(np.mean(path.xs))
     ),
-    "order-1 filter (k=1, theta=1)": ExtendedParams(
-        k=1, theta=1.0, a_coeffs=(0.0, 0.0), k_level=0.0
-    ),
+    "order-1 filter (k=1, theta=1)": ExtendedParams(k=1, theta=1.0),
     "garch(1,1) g=0.9 a=0.05": GarchParams(
         p=1, q=1, k_const=0.005, g_coeffs=(0.9,), a_coeffs=(0.05,)
     ),

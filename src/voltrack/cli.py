@@ -273,9 +273,7 @@ def _explicit_params(args) -> ExtendedParams | GarchParams | None:
     k = args.k
     if k is None:
         k = 0 if a is None else len(a) - 1
-    if a is None:
-        a = (0.0,) * (k + 1)
-    return ExtendedParams(k=k, theta=args.theta, a_coeffs=a, k_level=level)
+    return ExtendedParams(k=k, theta=args.theta, a_coeffs=a or (), k_level=level)
 
 
 def _cmd_track(args) -> int:
@@ -346,7 +344,6 @@ def _cmd_convergence(args) -> int:
         args.n,
         args.seeds,
         base_seed=args.base_seed,
-        burn_c=args.burn_c,
     )
     _write(args.out, csv_text(("n", "mse"), result.n_values, result.mse_values))
     if args.json_out:
@@ -375,7 +372,6 @@ def _cmd_ordering(args) -> int:
         args.seeds,
         k=args.k,
         base_seed=args.base_seed,
-        burn_c=args.burn_c,
     )
     columns = (result.theta_grid, result.sn_values, result.vn_values)
     _write(args.out, csv_text(("theta", "sn", "vn"), *columns))
@@ -448,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     conv.add_argument("--n", type=_int_list, required=True, help="sizes n1,n2,...")
     conv.add_argument("--seeds", type=int, default=20, help="evaluation seeds per n")
     conv.add_argument("--base-seed", type=int, default=0)
-    conv.add_argument("--burn-c", type=float, default=1.0, help="burn-in scale factor")
     conv.add_argument("--out", required=True, help="convergence CSV output")
     conv.add_argument("--json-out", help="optional JSON output")
     conv.add_argument("--plot-out", help="optional (log n, log mse) two-column output")
@@ -463,7 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     ordering.add_argument("--n", type=int, required=True, help="sample size")
     ordering.add_argument("--seeds", type=int, default=20, help="seeds per theta")
     ordering.add_argument("--base-seed", type=int, default=0)
-    ordering.add_argument("--burn-c", type=float, default=1.0, help="burn-in scale factor")
     ordering.add_argument("--out", required=True, help="ordering CSV output")
     ordering.add_argument("--json-out", help="optional JSON output")
     ordering.set_defaults(func=_cmd_ordering)

@@ -129,21 +129,18 @@ class BenchReport:
                 raise ValueError("cells must be non-negative where present")
 
 
-def burn_in_index(n: int, k: int, c: float = 1.0) -> int:
+def burn_in_index(n: int, k: int) -> int:
     """First index trusted for oracle evaluation.
 
-    min(ceil(c * n^((2k+2)/(2k+3))), n//4): the layer where the
+    min(ceil(n^((2k+2)/(2k+3))), n//4): the layer where the
     initialization error decays, capped so evaluation never starves.
     """
     if n < 2:
         raise ValueError(f"sample size n must be at least 2, got {n}")
     if k < 0:
         raise ValueError(f"smoothness order k must be non-negative, got {k}")
-    if not (math.isfinite(c) and c > 0.0):
-        raise ValueError(f"scale factor c must be positive and finite, got {c}")
     exponent = (2.0 * k + 2.0) / (2.0 * k + 3.0)
-    # the cap before the ceiling, so a layer that overflows to inf is capped too
-    return math.ceil(min(c * n**exponent, n // 4))
+    return math.ceil(min(n**exponent, n // 4))
 
 
 def vn_metric(v_true, estimates, burn_in: int) -> float:
@@ -158,17 +155,12 @@ def vn_metric(v_true, estimates, burn_in: int) -> float:
     return float(np.mean(diff * diff))
 
 
-def _pure_params(k: int, theta: float) -> ExtendedParams:
-    return ExtendedParams(k=k, theta=theta, a_coeffs=(0.0,) * (k + 1), k_level=0.0)
-
-
 def convergence_experiment(
     scenario: Scenario,
     k: int,
     n_values: Sequence[int],
     seeds: int,
     base_seed: int = 0,
-    burn_c: float = 1.0,
 ) -> ConvergenceResult:
     """Measure how the post-burn-in oracle loss decays with n.
 
@@ -185,7 +177,7 @@ def convergence_experiment(
         raise ValueError("n_values must span at least one decade")
     if seeds < 10:
         raise ValueError(f"need at least 10 seeds, got {seeds}")
-    burns = [burn_in_index(n, k, burn_c) for n in ns]
+    burns = [burn_in_index(n, k) for n in ns]
     mse_values = []
     for idx, (n, burn) in enumerate(zip(ns, burns)):
         # the held-out path first, then one evaluation path at a time
@@ -241,7 +233,6 @@ def ordering_agreement(
     seeds: int,
     k: int = 0,
     base_seed: int = 0,
-    burn_c: float = 1.0,
 ) -> OrderingResult:
     """Compare the observable and oracle losses across a theta grid.
 
@@ -258,9 +249,9 @@ def ordering_agreement(
         raise ValueError("theta_grid must be at least 10 strictly increasing values")
     if seeds < 10:
         raise ValueError(f"need at least 10 seeds, got {seeds}")
-    burn = burn_in_index(n, k, burn_c)
+    burn = burn_in_index(n, k)
     # built first, so a bad k or theta is refused as ExtendedParams words it
-    grid_params = [_pure_params(k, theta) for theta in grid]
+    grid_params = [ExtendedParams(k, theta) for theta in grid]
     for theta in grid:
         radius = step_spectral_radius(k, theta, n)
         if radius >= 1.0:
@@ -303,7 +294,6 @@ def shift_sensitivity(
     n: int,
     seeds: int,
     base_seed: int = 0,
-    burn_c: float = 1.0,
 ) -> float:
     """Mean relative change of the oracle loss when the O(delta) shift
     is removed from the observations before filtering.
@@ -315,7 +305,7 @@ def shift_sensitivity(
     """
     if seeds < 1:
         raise ValueError("need at least one seed")
-    burn = burn_in_index(n, k, burn_c)
+    burn = burn_in_index(n, k)
     paths = sample_paths(scenario, n, [base_seed + seeds, *range(base_seed, base_seed + seeds)])
     params = tune_filter0(next(paths).xs, k).best_params
     rel_changes = []

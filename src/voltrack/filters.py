@@ -86,15 +86,15 @@ class ExtendedParams:
 
     a_coeffs has length k+1: a_coeffs[0] damps the highest
     pseudo-derivative, the trailing entry couples the level estimate to
-    k_level (for k=0 the single entry plays both roles).  All-zero
-    a_coeffs with k_level=0 give the pure tracking filter.  The
-    coefficients must keep x^(k+1) + a_1 x^k + ... + a_{k+1} free of
-    roots in the open right half-plane.
+    k_level (for k=0 the single entry plays both roles).  The default,
+    (), stands for k+1 zeros, so ExtendedParams(k, theta) is the pure
+    tracking filter.  The coefficients must keep x^(k+1) + a_1 x^k + ...
+    + a_{k+1} free of roots in the open right half-plane.
     """
 
     k: int
     theta: float
-    a_coeffs: tuple[float, ...]
+    a_coeffs: tuple[float, ...] = ()
     k_level: float = 0.0
 
     def __post_init__(self):
@@ -102,6 +102,8 @@ class ExtendedParams:
             raise ValueError(f"smoothness order k must be in 0..{MAX_ORDER}")
         if not (math.isfinite(self.theta) and self.theta > 0.0):
             raise ValueError(f"theta must be positive and finite, got {self.theta}")
+        if len(self.a_coeffs) == 0:
+            object.__setattr__(self, "a_coeffs", (0.0,) * (self.k + 1))
         if len(self.a_coeffs) != self.k + 1:
             raise ValueError(
                 f"a_coeffs must have length k+1={self.k + 1}, got {len(self.a_coeffs)}"
@@ -445,7 +447,7 @@ def _step_matrix(k: int, theta: float, n: int) -> np.ndarray:
     """The pure order-k filter's one-step matrix for a run of n: column j
     is _fold_adaptive's step from the unit state e_j on observation 0."""
     schedule = gain_schedule(k, theta, n)
-    pure, zero = ExtendedParams(k, theta, (0.0,) * (k + 1)), np.zeros(1)
+    pure, zero = ExtendedParams(k, theta), np.zeros(1)
     columns = [_fold_adaptive(e, zero, schedule, pure)[1] for e in np.eye(k + 1).tolist()]
     return np.array(columns).T
 

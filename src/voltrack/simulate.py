@@ -275,8 +275,11 @@ def compute_heteroscedasticity(prices, delta: float) -> np.ndarray:
     bad = np.flatnonzero(~(np.isfinite(p) & (p > 0.0)))
     if bad.size:
         raise DataError(f"non-positive price at index {int(bad[0])}")
-    r = np.log(p[1:] / p[:-1])
-    return r * r / delta
+    # a ratio or a scaling beyond the float range gives a non-finite X,
+    # which run() and sample_paths refuse, naming its index
+    with np.errstate(over="ignore", divide="ignore"):
+        r = np.log(p[1:] / p[:-1])
+        return r * r / delta
 
 
 def decomposition_diagnostics(scenario: Scenario, path: PathResult) -> NoiseDecomposition:
@@ -324,51 +327,43 @@ def format_scenario_config(scenario: Scenario) -> str:
 
 
 def _floats(text: str, key: str) -> tuple[float, ...]:
+    # an empty value is the empty list, as _format_spec writes it; FuncSpec
+    # decides whether a field may be empty
+    if not text:
+        return ()
     try:
         return tuple(float(piece) for piece in text.split(","))
     except ValueError as exc:
         raise DataError(f"bad number list for {key}: {text!r}") from exc
 
 
+def _take(kv: dict[str, str], key: str, used: set[str]) -> str:
+    if key not in kv:
+        raise DataError(f"missing config key {key}")
+    used.add(key)
+    return kv[key]
+
+
 def _parse_spec(prefix: str, kv: dict[str, str], used: set[str]) -> FuncSpec:
-    kind_key = f"{prefix}.kind"
-    if kind_key not in kv:
-        raise DataError(f"missing config key {kind_key}")
-    used.add(kind_key)
-    kind = kv[kind_key]
-    if kind in _PARAM_COUNTS:
-        key = f"{prefix}.params"
-        if key not in kv:
-            raise DataError(f"missing config key {key}")
-        used.add(key)
-        return FuncSpec(kind=kind, params=_floats(kv[key], key))
-    if kind == "regime_switch":
-        lv_key, bp_key = f"{prefix}.levels", f"{prefix}.breakpoints"
-        if lv_key not in kv or bp_key not in kv:
-            raise DataError(f"regime_switch needs {lv_key} and {bp_key}")
-        used.update((lv_key, bp_key))
-        # format_scenario_config writes the breakpoints of a one-level
-        # regime_switch as an empty value
-        bp_text = kv[bp_key]
-        return FuncSpec(
-            kind=kind,
-            levels=_floats(kv[lv_key], lv_key),
-            breakpoints=_floats(bp_text, bp_key) if bp_text else (),
-        )
+    kind = _take(kv, f"{prefix}.kind", used)
     if kind == "sum":
         count_key = f"{prefix}.terms"
-        if count_key not in kv:
-            raise DataError(f"missing config key {count_key}")
-        used.add(count_key)
+        count_text = _take(kv, count_key, used)
         try:
-            count = int(kv[count_key])
+            count = int(count_text)
         except ValueError as exc:
-            raise DataError(f"bad term count for {count_key}: {kv[count_key]!r}") from exc
+            raise DataError(f"bad term count for {count_key}: {count_text!r}") from exc
         terms = tuple(
             _parse_spec(f"{prefix}.term{i}", kv, used) for i in range(1, count + 1)
         )
         return FuncSpec(kind=kind, terms=terms)
-    raise DataError(f"unknown spec kind {kind!r} for {prefix}")
+    if kind not in _FIELDS:
+        raise DataError(f"unknown spec kind {kind!r} for {prefix}")
+    fields = {}
+    for name in _FIELDS[kind]:
+        key = f"{prefix}.{name}"
+        fields[name] = _floats(_take(kv, key, used), key)
+    return FuncSpec(kind=kind, **fields)
 
 
 def parse_scenario_config(text: str) -> Scenario:

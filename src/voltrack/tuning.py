@@ -176,12 +176,9 @@ def _make_sn(x_arr: np.ndarray, evaluations: list) -> Callable:
 
 def _theta_stage(k: int, sn_of: Callable) -> tuple[float, float]:
     """theta of the pure order-k filter (a = K = 0); raises when all diverge."""
-    zeros = (0.0,) * (k + 1)
-
-    def objective(theta: float) -> float:
-        return sn_of(ExtendedParams(k=k, theta=theta, a_coeffs=zeros, k_level=0.0))
-
-    theta, sn = minimize_scalar(objective, _THETA_LO, _THETA_HI, _THETA_TOL)
+    theta, sn = minimize_scalar(
+        lambda theta: sn_of(ExtendedParams(k, theta)), _THETA_LO, _THETA_HI, _THETA_TOL
+    )
     if sn == math.inf:
         raise TuningError(
             f"the filter diverges for every theta in [{_THETA_LO}, {_THETA_HI}]"
@@ -232,7 +229,7 @@ def tune_filter0(xs: Sequence[float], k: int = 0) -> TuningReport:
     """Tune the pure order-k filter: one-dimensional search over theta."""
     evaluations: list = []
     theta, sn = _theta_stage(k, _make_sn(_series(xs), evaluations))
-    best = ExtendedParams(k=k, theta=theta, a_coeffs=(0.0,) * (k + 1), k_level=0.0)
+    best = ExtendedParams(k, theta)
     trace = (TuningStage(name="theta", params={"theta": theta}, sn=sn),)
     return TuningReport(
         best_params=best, best_sn=sn, evaluations=tuple(evaluations), trace=trace

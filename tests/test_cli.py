@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import voltrack.cli as cli
@@ -366,6 +366,42 @@ class TestExitCodes:
         assert code == 2
         assert "--name" in capsys.readouterr().err
         assert not (tmp_path / "est.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["convergence", "--n", "100,400,1600"],
+            ["ordering", "--n", "125", "--theta-grid", ",".join(map(str, range(1, 11)))],
+        ],
+        ids=["convergence", "ordering"],
+    )
+    def test_burn_in_scale_option_is_gone(self, tmp_path, capsys, argv):
+        # the burn-in window is burn_in_index(n, k); no flag scales it
+        out = tmp_path / "out.csv"
+        scenario = write_scenario(tmp_path)
+        code = main([*argv, "--scenario", scenario, "--burn-c", "1", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.endswith("error: unrecognized arguments: --burn-c 1\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["track", "--filter", "filter0", "--theta", "0.5"],
+        ["tune", "--filter", "filter0"],
+    ], ids=["track", "tune"])
+    @pytest.mark.parametrize("head, delta", [
+        ((1e-300, 1e300), "0.004"),  # the price ratio overflows
+        ((1e300, 1e-300), "0.004"),  # the ratio underflows to 0, its log is -inf
+        ((1.0, 1.1), "5e-324"),  # the scaling by 1/delta overflows
+    ], ids=["ratio-overflow", "ratio-underflow", "tiny-delta"])
+    def test_out_of_range_observation_is_one_error_line(self, tmp_path, command, head, delta):
+        # the observation leaves the float range without a NumPy warning, and
+        # the filter refuses it by its index
+        prices = [*head, *(head[-1] * 1.01**i for i in range(1, 59))]
+        path, out = tmp_path / "p.csv", tmp_path / "out.csv"
+        path.write_text("price\n" + "".join(f"{p!r}\n" for p in prices))
+        argv = [*command, "--input", str(path), "--delta", delta, "--out", str(out)]
+        assert quiet_main(argv) == (1, "", "error: non-finite observation at index 0\n")
+        assert not out.exists()
 
     def test_data_errors_exit_one(self, tmp_path, capsys):
         code = main(
@@ -965,21 +1001,31 @@ class TestFuzzedInputs:
 
     @settings(max_examples=400)
     @given(_with_junk(fuzzed_price_csvs()) | st.binary(max_size=64))
+    # consecutive prices whose ratio overflows, and whose ratio's log does
+    @example(b"price\n1e-300\n1e300\n2e300\n")
+    @example(b"price\n1e300\n1e-300\n2e-300\n")
     def test_price_csv_raises_only_data_errors_naming_the_file(self, data):
         with tempfile.TemporaryDirectory() as tmp:
             path, out = Path(tmp, "p.csv"), Path(tmp, "est.csv")
             path.write_bytes(data)
+            argv = ["track", "--input", str(path), "--filter", "filter0", "--theta", "0.5",
+                    "--out", str(out)]
             try:
                 load_prices(str(path), DEFAULT_DELTA)
             except DataError as exc:
                 message = str(exc)
+                assert message.startswith(f"{path}: ")
+                assert quiet_main(argv) == (1, "", f"error: {message}\n")
+                assert not out.exists()
+                return
+            # an accepted series is tracked, or refused in one error line
+            code, stdout, stderr = quiet_main(argv)
+            assert out.exists() == (code == 0)
+            if code == 0:
+                assert stderr == ""
             else:
-                return  # an accepted series goes on to the filter, not checked here
-            assert message.startswith(f"{path}: ")
-            argv = ["track", "--input", str(path), "--filter", "filter0", "--theta", "0.5",
-                    "--out", str(out)]
-            assert quiet_main(argv) == (1, "", f"error: {message}\n")
-            assert not out.exists()
+                assert (code, stdout) == (1, "")
+                assert stderr.startswith("error: ") and stderr.count("\n") == 1
 
 
 class TestBench:
@@ -1172,18 +1218,6 @@ class TestConvergence:
         doc = json.loads(json_out.read_text())
         assert doc["kind"] == "convergence"
         assert len(plot_out.read_text().strip().split("\n")) == 3
-
-    def test_infinite_burn_in_scale_exits_one(self, tmp_path, capsys):
-        scenario = write_scenario(tmp_path)
-        out = tmp_path / "c.csv"
-        code = main(
-            ["convergence", "--scenario", scenario, "--seeds", "10", "--n", "100,400,1600",
-             "--burn-c", "inf", "--out", str(out)]
-        )
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err == "error: scale factor c must be positive and finite, got inf\n"
-        assert not out.exists()
 
     def test_negative_base_seed_refused_before_tuning(self, tmp_path, capsys, monkeypatch):
         # the held-out path (seed base + seeds = 5) is valid, so only a check

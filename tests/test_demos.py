@@ -1,11 +1,13 @@
-"""Demo scripts: each runs from a checkout, exits 0 and writes nothing to stderr.
+"""Demo scripts and README's Python session: each runs from a checkout,
+exits 0 and writes nothing to stderr.
 
 The demos drive the public API end to end (gain design, simulation and
 tracking, the rate study and the staged tuners), so a change that breaks
-one of them, or makes it warn, fails here.
+one of them, or the README session, or makes it warn, fails here.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,12 +22,13 @@ def test_demos_found():
     assert DEMOS
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
-def test_demo_runs_cleanly(demo, tmp_path):
+def assert_runs_cleanly(args, cwd) -> None:
+    """Run a fresh interpreter on args in cwd, with src/ as PYTHONPATH;
+    it must exit 0 and write nothing to stderr."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, str(demo)],
-        cwd=tmp_path,
+        [sys.executable, *args],
+        cwd=cwd,
         env=env,
         capture_output=True,
         text=True,
@@ -33,3 +36,14 @@ def test_demo_runs_cleanly(demo, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demo_runs_cleanly(demo, tmp_path):
+    assert_runs_cleanly([str(demo)], tmp_path)
+
+
+def test_readme_python_session_runs_cleanly(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    (session,) = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    assert_runs_cleanly(["-c", session], tmp_path)

@@ -53,10 +53,6 @@ class TestBurnInIndex:
     def test_higher_order_uses_larger_layer(self):
         assert burn_in_index(10_000, 1) > burn_in_index(10_000, 0)
 
-    def test_scale_factor(self):
-        assert burn_in_index(1000, 0, c=2.0) == 200
-        assert burn_in_index(1000, 0, c=0.5) == 50
-
     def test_cap_keeps_evaluation_window(self):
         for n in (10, 100, 1000):
             assert burn_in_index(n, 4) <= n // 4
@@ -66,17 +62,6 @@ class TestBurnInIndex:
             burn_in_index(1, 0)
         with pytest.raises(ValueError):
             burn_in_index(100, -1)
-        with pytest.raises(ValueError):
-            burn_in_index(100, 0, c=0.0)
-
-    @pytest.mark.parametrize("c", [math.inf, math.nan])
-    def test_non_finite_scale_factor_rejected(self, c):
-        with pytest.raises(ValueError, match="positive and finite"):
-            burn_in_index(100, 0, c=c)
-
-    def test_overflowing_layer_is_capped(self):
-        # 1e308 * 100^(2/3) overflows to inf; the cap still applies
-        assert burn_in_index(100, 0, c=1e308) == 25
 
 
 class TestVnMetric:

@@ -116,6 +116,18 @@ class TestExtendedParams:
         ext = ExtendedParams(k=3, theta=1.0, a_coeffs=(0.0,) * 4, k_level=0.0)
         assert ext.a_coeffs == (0.0,) * 4
 
+    @pytest.mark.parametrize("k", range(9))
+    def test_default_is_the_pure_filter(self, k):
+        # no a_coeffs, or (), stands for k+1 zeros: the same parameters and
+        # the same run, bit for bit
+        explicit = ExtendedParams(k=k, theta=0.5, a_coeffs=(0.0,) * (k + 1), k_level=0.0)
+        assert ExtendedParams(k, 0.5) == explicit == ExtendedParams(k, 0.5, ())
+        xs = noisy_series(400)
+        pure, zeros = run(xs, ExtendedParams(k, 0.5)), run(xs, explicit)
+        assert pure.estimates.tobytes() == zeros.estimates.tobytes()
+        assert pure.residuals.tobytes() == zeros.residuals.tobytes()
+        assert pure.s_n == zeros.s_n
+
 
 class TestGarchParams:
     def test_valid_construction(self):

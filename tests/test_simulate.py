@@ -7,6 +7,7 @@ Gaussian law the sampler draws from.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -419,6 +420,20 @@ class TestScenarioConfig:
         with pytest.raises(DataError, match="missing"):
             parse_scenario_config("mu.kind = constant\nmu.params = 0.05\n")
 
+    @pytest.mark.parametrize("key", ["v.levels", "v.breakpoints"])
+    def test_missing_regime_switch_key_named(self, key):
+        lines = {
+            "mu.kind": "constant",
+            "mu.params": "0.05",
+            "v.kind": "regime_switch",
+            "v.levels": "0.09",
+            "v.breakpoints": "",
+        }
+        del lines[key]
+        text = "".join(f"{k} = {v}\n" for k, v in lines.items())
+        with pytest.raises(DataError, match=f"^missing config key {re.escape(key)}$"):
+            parse_scenario_config(text)
+
     def test_unknown_key_rejected(self):
         text = (
             "mu.kind = constant\nmu.params = 0.05\n"
@@ -444,7 +459,12 @@ class TestScenarioConfig:
 
     @pytest.mark.parametrize("key", ["mu.params", "v.levels"])
     def test_empty_number_list_rejected(self, key):
-        # only a regime_switch's breakpoints may be empty
+        # an empty value is the empty list; only a regime_switch's
+        # breakpoints may be empty, and FuncSpec words the refusal
+        words = {
+            "mu.params": "constant spec needs 1 params",
+            "v.levels": "regime_switch needs len(levels) == len(breakpoints)+1",
+        }
         lines = {
             "mu.kind": "constant",
             "mu.params": "0.05",
@@ -454,7 +474,7 @@ class TestScenarioConfig:
         }
         lines[key] = ""
         text = "".join(f"{k} = {v}\n" for k, v in lines.items())
-        with pytest.raises(DataError, match=f"bad number list for {key}"):
+        with pytest.raises(DataError, match=f"^{re.escape(words[key])}$"):
             parse_scenario_config(text)
 
     def test_line_without_equals_rejected(self):
