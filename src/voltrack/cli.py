@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import DataError, VoltrackError
 from .evaluation import (
+    BENCH_METHODS,
     METHODS,
     benchmark_report,
     convergence_experiment,
@@ -321,15 +322,14 @@ def _cmd_bench(args) -> int:
             name = f"{stem}-{suffix}"
             suffix += 1
         series_set[name] = compute_heteroscedasticity(series.prices, series.delta)
-    report = benchmark_report(series_set)
     rows = [
-        {"name": name, "n": n, "cells": dict(zip(report.columns, cells))}
-        for (name, n), cells in zip(report.rows, report.cells)
+        {"name": name, "n": series_set[name].size, "cells": cells}
+        for name, cells in benchmark_report(series_set).items()
     ]
     # long format: one (series, method, sn) line per cell
     long = [(row["name"], *cell) for row in rows for cell in row["cells"].items()]
     _write(args.out, csv_text(("series", "method", "sn"), *zip(*long)))
-    doc = {"columns": list(report.columns), "rows": rows, "delta": delta}
+    doc = {"columns": list(BENCH_METHODS), "rows": rows, "delta": delta}
     _write(json_out, json_text("bench", doc))
     return 0
 

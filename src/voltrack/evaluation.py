@@ -10,7 +10,8 @@ the sample size.
 
 Estimates inside the initial boundary layer still carry initialization
 error, so V_n is always evaluated past a burn-in index that grows like
-n^{(2k+2)/(2k+3)}.
+n^{(2k+2)/(2k+3)}.  The three oracle studies score every run through
+_scores, the one place that refuses a run whose S_n or V_n overflows.
 """
 
 from __future__ import annotations
@@ -23,13 +24,13 @@ import numpy as np
 
 from .errors import DataError, VoltrackError
 from .filters import ExtendedParams, run, step_spectral_radius
-from .simulate import Scenario, decomposition_diagnostics, sample_paths
+from .gains import MAX_ORDER
+from .simulate import PathResult, Scenario, decomposition_diagnostics, sample_paths
 from .tuning import TuningReport, fit_garch, tune_filter0, tune_filter1, tune_filter2
 
 __all__ = [
     "ConvergenceResult",
     "OrderingResult",
-    "BenchReport",
     "BENCH_METHODS",
     "METHODS",
     "Method",
@@ -83,16 +84,6 @@ class ConvergenceResult:
     theoretical_slope: float
     seeds_per_n: int
 
-    def __post_init__(self):
-        if len(self.n_values) < 3:
-            raise ValueError("need at least 3 sample sizes")
-        if any(b <= a for a, b in zip(self.n_values, self.n_values[1:])):
-            raise ValueError("n_values must be strictly increasing")
-        if len(self.mse_values) != len(self.n_values):
-            raise ValueError("mse_values must match n_values in length")
-        if any(not (math.isfinite(m) and m > 0.0) for m in self.mse_values):
-            raise ValueError("mse_values must be positive and finite")
-
 
 @dataclass(frozen=True)
 class OrderingResult:
@@ -104,30 +95,6 @@ class OrderingResult:
     kendall_tau: float
     argmin_match: bool
 
-    def __post_init__(self):
-        if any(b <= a for a, b in zip(self.theta_grid, self.theta_grid[1:])):
-            raise ValueError("theta_grid must be strictly increasing")
-        if not (len(self.theta_grid) == len(self.sn_values) == len(self.vn_values)):
-            raise ValueError("per-theta sequences must share one length")
-
-
-@dataclass(frozen=True)
-class BenchReport:
-    """Per-series, per-method best S_n table; failed cells are None."""
-
-    rows: tuple[tuple[str, int], ...]
-    columns: tuple[str, ...]
-    cells: tuple[tuple[float | None, ...], ...]
-
-    def __post_init__(self):
-        if len(self.cells) != len(self.rows):
-            raise ValueError("one cell row per series row required")
-        for row in self.cells:
-            if len(row) != len(self.columns):
-                raise ValueError("one cell per column required")
-            if any(c is not None and c < 0.0 for c in row):
-                raise ValueError("cells must be non-negative where present")
-
 
 def burn_in_index(n: int, k: int) -> int:
     """First index trusted for oracle evaluation.
@@ -137,8 +104,8 @@ def burn_in_index(n: int, k: int) -> int:
     """
     if n < 2:
         raise ValueError(f"sample size n must be at least 2, got {n}")
-    if k < 0:
-        raise ValueError(f"smoothness order k must be non-negative, got {k}")
+    if k < 0 or k > MAX_ORDER:
+        raise ValueError(f"smoothness order k must be in 0..{MAX_ORDER}")
     exponent = (2.0 * k + 2.0) / (2.0 * k + 3.0)
     return math.ceil(min(n**exponent, n // 4))
 
@@ -153,6 +120,26 @@ def vn_metric(v_true, estimates, burn_in: int) -> float:
         raise ValueError(f"burn_in must lie in [0, {v_arr.size}), got {burn_in}")
     diff = v_arr[burn_in:] - e_arr[burn_in:]
     return float(np.mean(diff * diff))
+
+
+def _scores(
+    path: PathResult, xs, params: ExtendedParams, burn: int
+) -> tuple[float, float]:
+    """S_n and V_n of the filter params run over xs, the observations of
+    path (or a shift of them), with V_n against path.v_bar past burn.
+
+    A diverging run overflows; it raises DataError naming theta and the
+    seed of the path instead of warning and returning a non-finite loss.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = run(xs, params)
+        vn = vn_metric(path.v_bar, result.estimates, burn)
+    if not (math.isfinite(result.s_n) and math.isfinite(vn)):
+        raise DataError(
+            f"the order-{params.k} filter diverges at theta = {params.theta!r} "
+            f"on the path of seed {path.seed}"
+        )
+    return result.s_n, vn
 
 
 def convergence_experiment(
@@ -185,10 +172,10 @@ def convergence_experiment(
             scenario, n, [base_seed + seeds + idx, *range(base_seed, base_seed + seeds)]
         )
         params = tune_filter0(next(paths).xs, k).best_params
-        per_seed = [
-            vn_metric(path.v_bar, run(path.xs, params).estimates, burn) for path in paths
-        ]
+        per_seed = [_scores(path, path.xs, params, burn)[1] for path in paths]
         mse_values.append(float(np.mean(per_seed)))
+    if any(not (math.isfinite(m) and m > 0.0) for m in mse_values):
+        raise ValueError("mse_values must be positive and finite")
     fitted = float(np.polyfit(np.log(ns), np.log(mse_values), 1)[0])
     theoretical = -2.0 * (k + 1.0) / (2.0 * k + 3.0)
     return ConvergenceResult(
@@ -242,7 +229,7 @@ def ordering_agreement(
     minimizers coincide.  A theta outside the filter's stability region
     for n (step_spectral_radius of at least 1) raises DataError naming it
     before any run, and so does a theta whose filter still overflows (a
-    non-finite S_n or V_n on any path).
+    non-finite S_n or V_n on any path, refused by _scores).
     """
     grid = [float(t) for t in theta_grid]
     if len(grid) < 10 or any(b <= a for a, b in zip(grid, grid[1:])):
@@ -250,7 +237,7 @@ def ordering_agreement(
     if seeds < 10:
         raise ValueError(f"need at least 10 seeds, got {seeds}")
     burn = burn_in_index(n, k)
-    # built first, so a bad k or theta is refused as ExtendedParams words it
+    # built first, so a bad theta is refused as ExtendedParams words it
     grid_params = [ExtendedParams(k, theta) for theta in grid]
     for theta in grid:
         radius = step_spectral_radius(k, theta, n)
@@ -261,20 +248,8 @@ def ordering_agreement(
             )
     paths = list(sample_paths(scenario, n, range(base_seed, base_seed + seeds)))
     sn_means, vn_means = [], []
-    for theta, params in zip(grid, grid_params):
-        sns, vns = [], []
-        for path in paths:
-            # a diverging run overflows; it is refused below, not warned about
-            with np.errstate(over="ignore", invalid="ignore"):
-                result = run(path.xs, params)
-                vn = vn_metric(path.v_bar, result.estimates, burn)
-            if not (math.isfinite(result.s_n) and math.isfinite(vn)):
-                raise DataError(
-                    f"the order-{k} filter diverges at theta = {theta!r} "
-                    f"on the path of seed {path.seed}"
-                )
-            sns.append(result.s_n)
-            vns.append(vn)
+    for params in grid_params:
+        sns, vns = zip(*(_scores(path, path.xs, params, burn) for path in paths))
         sn_means.append(float(np.mean(sns)))
         vn_means.append(float(np.mean(vns)))
     tau = _kendall_tau_b(sn_means, vn_means)
@@ -311,24 +286,24 @@ def shift_sensitivity(
     rel_changes = []
     for path in paths:
         shift = decomposition_diagnostics(scenario, path).theta
-        raw = vn_metric(path.v_bar, run(path.xs, params).estimates, burn)
-        shifted = vn_metric(
-            path.v_bar, run(path.xs - shift, params).estimates, burn
-        )
+        raw = _scores(path, path.xs, params, burn)[1]
+        shifted = _scores(path, path.xs - shift, params, burn)[1]
         rel_changes.append(abs(shifted - raw) / raw)
     return float(np.mean(rel_changes))
 
 
-def benchmark_report(series_set: Mapping[str, Sequence[float]]) -> BenchReport:
-    """Tune every method on every series and tabulate the best S_n.
+def benchmark_report(
+    series_set: Mapping[str, Sequence[float]],
+) -> dict[str, dict[str, float | None]]:
+    """Tune every method on every series and tabulate the best S_n, as
+    {series name: {method: best S_n}} with methods in BENCH_METHODS order.
 
     A method that fails on a series (infeasible fit, degenerate data)
-    leaves its cell absent instead of aborting the whole table.
+    leaves its cell None instead of aborting the whole table.
     """
     if not series_set:
         raise ValueError("series_set must not be empty")
-    rows = []
-    cells = []
+    table = {}
     for name, series in series_set.items():
         xs = np.asarray(series, dtype=float)
         if xs.ndim != 1 or xs.size < _MIN_BENCH_LENGTH:
@@ -336,12 +311,10 @@ def benchmark_report(series_set: Mapping[str, Sequence[float]]) -> BenchReport:
                 f"series {name!r} must be 1-D with at least "
                 f"{_MIN_BENCH_LENGTH} observations"
             )
-        rows.append((str(name), int(xs.size)))
-        row_cells = []
+        cells = table[name] = {}
         for method in BENCH_METHODS:
             try:
-                row_cells.append(float(METHODS[method].tune(xs, None).best_sn))
+                cells[method] = float(METHODS[method].tune(xs, None).best_sn)
             except (VoltrackError, ValueError):
-                row_cells.append(None)
-        cells.append(tuple(row_cells))
-    return BenchReport(rows=tuple(rows), columns=BENCH_METHODS, cells=tuple(cells))
+                cells[method] = None
+    return table

@@ -71,7 +71,6 @@ class FilterState:
 
     v_hat: float
     derivatives: tuple[float, ...] = ()
-    step_index: int = 0
 
     def __post_init__(self):
         if not math.isfinite(self.v_hat):
@@ -173,7 +172,7 @@ def init_state(k: int, warmup: Sequence[float]) -> FilterState:
         raise ValueError("warmup must be a non-empty sequence")
     if not np.all(np.isfinite(w)):
         raise DataError("warmup contains non-finite observations")
-    return FilterState(v_hat=float(np.mean(w)), derivatives=(0.0,) * k, step_index=0)
+    return FilterState(v_hat=float(np.mean(w)), derivatives=(0.0,) * k)
 
 
 def _fold_first_order(v, xs, c_v, c, g, estimates) -> float:
@@ -367,7 +366,7 @@ def step_adaptive(
     _, z = _fold_adaptive(
         [state.v_hat, *state.derivatives], np.array([x], dtype=float), schedule, ext
     )
-    return FilterState(z[0], tuple(z[1:]), state.step_index + 1), x - state.v_hat
+    return FilterState(z[0], tuple(z[1:])), x - state.v_hat
 
 
 def step_garch(

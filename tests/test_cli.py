@@ -384,6 +384,30 @@ class TestExitCodes:
         assert capsys.readouterr().err.endswith("error: unrecognized arguments: --burn-c 1\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("k", ["9", "-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["convergence", "--n", "100,400,1600", "--seeds", "10"],
+            ["ordering", "--n", "125", "--theta-grid", ",".join(map(str, range(1, 11))),
+             "--seeds", "10"],
+        ],
+        ids=["convergence", "ordering"],
+    )
+    def test_bad_k_is_one_error_line_before_sampling(self, tmp_path, capsys, monkeypatch,
+                                                     argv, k):
+        def forbidden(*args):
+            raise AssertionError("sampled before refusing k")
+
+        monkeypatch.setattr("voltrack.evaluation.sample_paths", forbidden)
+        out = tmp_path / "out.csv"
+        code = main([*argv, "--scenario", write_scenario(tmp_path), "--k", k, "--out", str(out)])
+        assert (code, capsys.readouterr()) == (
+            1,
+            ("", "error: smoothness order k must be in 0..8\n"),
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [
         ["track", "--filter", "filter0", "--theta", "0.5"],
         ["tune", "--filter", "filter0"],

@@ -18,7 +18,6 @@ from scipy import stats
 
 from voltrack import (
     BENCH_METHODS,
-    BenchReport,
     ConvergenceResult,
     DataError,
     FuncSpec,
@@ -39,6 +38,14 @@ from voltrack.evaluation import _kendall_tau_b
 SINU = Scenario(
     mu_spec=FuncSpec("constant", (0.05,)),
     v_spec=FuncSpec("sinusoid", (0.09, 0.04, 2.0, 0.3)),
+)
+
+# Volatility so large over so short a horizon that the tuned pure filter
+# overflows on the path of seed 3.
+OVERFLOWING = Scenario(
+    mu_spec=FuncSpec("constant", (0.05,)),
+    v_spec=FuncSpec("constant", (8e152,)),
+    horizon_t=1e-155,
 )
 
 
@@ -98,55 +105,6 @@ class TestVnMetric:
             vn_metric(v, v, -1)
 
 
-class TestResultValidation:
-    def test_convergence_result(self):
-        good = dict(
-            n_values=(100, 400, 1600),
-            mse_values=(0.1, 0.05, 0.02),
-            fitted_slope=-0.6,
-            theoretical_slope=-2 / 3,
-            seeds_per_n=10,
-        )
-        ConvergenceResult(**good)
-        with pytest.raises(ValueError):
-            ConvergenceResult(**{**good, "n_values": (100, 400), "mse_values": (0.1, 0.05)})
-        with pytest.raises(ValueError):
-            ConvergenceResult(**{**good, "n_values": (100, 400, 400)})
-        with pytest.raises(ValueError):
-            ConvergenceResult(**{**good, "mse_values": (0.1, 0.05)})
-        with pytest.raises(ValueError):
-            ConvergenceResult(**{**good, "mse_values": (0.1, 0.05, 0.0)})
-
-    def test_ordering_result(self):
-        good = dict(
-            theta_grid=(0.1, 1.0, 10.0),
-            sn_values=(0.3, 0.2, 0.4),
-            vn_values=(0.03, 0.02, 0.04),
-            kendall_tau=1.0,
-            argmin_match=True,
-        )
-        OrderingResult(**good)
-        with pytest.raises(ValueError):
-            OrderingResult(**{**good, "theta_grid": (0.1, 0.1, 10.0)})
-        with pytest.raises(ValueError):
-            OrderingResult(**{**good, "sn_values": (0.3, 0.2)})
-
-    def test_bench_report(self):
-        good = dict(
-            rows=(("a", 200),),
-            columns=("garch11", "filter0"),
-            cells=((0.1, 0.2),),
-        )
-        BenchReport(**good)
-        with pytest.raises(ValueError):
-            BenchReport(**{**good, "cells": ()})
-        with pytest.raises(ValueError):
-            BenchReport(**{**good, "cells": ((0.1,),)})
-        with pytest.raises(ValueError):
-            BenchReport(**{**good, "cells": ((0.1, -0.2),)})
-        BenchReport(**{**good, "cells": ((0.1, None),)})
-
-
 class TestConvergenceExperiment:
     def test_small_study_decays(self):
         result = convergence_experiment(SINU, 0, (400, 1200, 4000), seeds=10)
@@ -167,6 +125,30 @@ class TestConvergenceExperiment:
             convergence_experiment(SINU, 0, (400, 1200, 3000), seeds=10)
         with pytest.raises(ValueError):
             convergence_experiment(SINU, 0, (400, 1200, 4000), seeds=5)
+
+    def test_non_positive_mean_loss_refused_before_the_fit(self, monkeypatch):
+        monkeypatch.setattr("voltrack.evaluation.vn_metric", lambda *args: 0.0)
+        with pytest.raises(ValueError, match="^mse_values must be positive and finite$"):
+            convergence_experiment(SINU, 0, (100, 400, 1000), seeds=10)
+
+
+@pytest.mark.parametrize(
+    "study",
+    [
+        lambda: convergence_experiment(OVERFLOWING, 0, (100, 400, 1600), seeds=10),
+        lambda: ordering_agreement(OVERFLOWING, np.linspace(0.1, 1.0, 10), n=100, seeds=10),
+        lambda: shift_sensitivity(OVERFLOWING, 0, 100, 10),
+    ],
+    ids=["convergence", "ordering", "shift"],
+)
+def test_overflowing_run_refused_naming_theta_and_seed(study):
+    # a diverging run raises DataError without an overflow warning, which
+    # the suite turns into an error
+    with pytest.raises(
+        DataError,
+        match=r"^the order-0 filter diverges at theta = \S+ on the path of seed 3$",
+    ):
+        study()
 
 
 class TestOrderingAgreement:
@@ -250,15 +232,24 @@ class TestShiftSensitivity:
         with pytest.raises(ValueError):
             shift_sensitivity(SINU, 0, 500, 0)
 
+    @pytest.mark.parametrize("k", [-1, 9])
+    def test_bad_order_refused_before_sampling(self, monkeypatch, k):
+        def forbidden(*args):
+            raise AssertionError("sampled before refusing k")
+
+        monkeypatch.setattr("voltrack.evaluation.sample_paths", forbidden)
+        with pytest.raises(ValueError, match=r"^smoothness order k must be in 0\.\.8$"):
+            shift_sensitivity(SINU, k, 500, 3)
+
 
 class TestBenchmarkReport:
     def test_all_methods_on_synthetic_series(self):
         rng = np.random.default_rng(5)
         xs = np.abs(rng.normal(0.09, 0.03, size=150))
         report = benchmark_report({"synthetic": xs})
-        assert report.columns == BENCH_METHODS
-        assert report.rows == (("synthetic", 150),)
-        cells = dict(zip(report.columns, report.cells[0]))
+        assert list(report) == ["synthetic"]
+        cells = report["synthetic"]
+        assert tuple(cells) == BENCH_METHODS
         assert all(c is not None and c >= 0.0 for c in cells.values())
         # the staged level filter starts from the pure filter's solution
         assert cells["filter1"] <= cells["filter0"] + 1e-12
@@ -288,11 +279,10 @@ ORDER = OrderingResult(
     argmin_match=True,
 )
 
-BENCH = BenchReport(
-    rows=(("alpha", 200), ("beta", 300)),
-    columns=("garch11", "filter0"),
-    cells=((0.25, 0.125), (None, 0.5)),
-)
+BENCH = {
+    "alpha": dict(zip(BENCH_METHODS, (0.25, 0.375, 0.125, 0.0625, 1.5))),
+    "beta": dict(zip(BENCH_METHODS, (None, 0.75, 0.5, 2.0, None))),
+}
 
 
 def cli_files(monkeypatch, tmp_path, binding, result, argv):
@@ -303,7 +293,7 @@ def cli_files(monkeypatch, tmp_path, binding, result, argv):
     monkeypatch.chdir(tmp_path)
     Path("scenario.cfg").write_text(format_scenario_config(SINU))
     Path("alpha.csv").write_text("price\n1.0\n1.5\n")
-    Path("beta.csv").write_text("price\n2.0\n1.5\n")
+    Path("beta.csv").write_text("price\n2.0\n1.5\n1.75\n")
     assert main(argv) == 0
     return {path.name: path.read_text() for path in tmp_path.iterdir()}
 
@@ -374,19 +364,32 @@ class TestSerializers:
         assert files["bench.csv"] == (
             "series,method,sn\n"
             "alpha,garch11,0.25\n"
+            "alpha,garch22,0.375\n"
             "alpha,filter0,0.125\n"
+            "alpha,filter1,0.0625\n"
+            "alpha,filter2,1.5\n"
             "beta,garch11,\n"
+            "beta,garch22,0.75\n"
             "beta,filter0,0.5\n"
+            "beta,filter1,2.0\n"
+            "beta,filter2,\n"
         )
 
     def test_bench_json_null_for_missing(self, monkeypatch, tmp_path):
         files = cli_files(monkeypatch, tmp_path, "benchmark_report", BENCH, BENCH_ARGV)
         assert files["bench.json"] == envelope(
             "bench",
-            columns=["garch11", "filter0"],
+            columns=["garch11", "garch22", "filter0", "filter1", "filter2"],
             rows=[
-                {"name": "alpha", "n": 200, "cells": {"garch11": 0.25, "filter0": 0.125}},
-                {"name": "beta", "n": 300, "cells": {"garch11": None, "filter0": 0.5}},
+                # n is the length of the observation series: one fewer than the prices
+                {"name": "alpha", "n": 1, "cells": {
+                    "garch11": 0.25, "garch22": 0.375, "filter0": 0.125,
+                    "filter1": 0.0625, "filter2": 1.5,
+                }},
+                {"name": "beta", "n": 2, "cells": {
+                    "garch11": None, "garch22": 0.75, "filter0": 0.5,
+                    "filter1": 2.0, "filter2": None,
+                }},
             ],
             delta=1 / 252,
         )

@@ -50,7 +50,6 @@ class TestFilterState:
     def test_defaults(self):
         st = FilterState(v_hat=0.1)
         assert st.derivatives == ()
-        assert st.step_index == 0
 
     def test_rejects_non_finite_v_hat(self):
         with pytest.raises(ValueError):
@@ -176,7 +175,6 @@ class TestInitState:
         st = init_state(2, w)
         assert st.v_hat == float(np.mean(w))
         assert st.derivatives == (0.0, 0.0)
-        assert st.step_index == 0
 
     def test_rejects_empty_warmup(self):
         with pytest.raises(ValueError):
@@ -205,7 +203,6 @@ class TestStepAdaptive:
         expected += (0.0 / 1000) * 0.0
         expected += g0 * 0.2
         assert st.v_hat == expected
-        assert st.step_index == 1
 
     def test_full_relaxation_fixed_point(self):
         # With a1 = n the level term replaces the estimate outright, so
