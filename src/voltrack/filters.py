@@ -27,8 +27,10 @@ end to end, for run() and the steps alike; other c run a Python loop,
 and a property test holds the kernel equal to that loop bit for bit.  The
 k=1 fold is the general order-k update unrolled into two locals, in the
 same operation order, at under a third of the general loop's cost per
-step.  The GARCH estimates are affine in K and a for fixed g;
-_garch_basis returns the responses that the fit combines.
+step; the GARCH(2,2) fold is the general GARCH loop unrolled into three
+locals the same way, at under half its cost per step.  The GARCH
+estimates are affine in K and a for fixed g; _garch_basis returns the
+responses that the fit combines.
 """
 
 from __future__ import annotations
@@ -291,12 +293,25 @@ def _fold_garch(est, obs, x_arr, params: GarchParams) -> tuple[np.ndarray, float
     est holds the p prior estimates and obs the q-1 prior observations,
     most recent last; the prediction of x[i] is the latest estimate
     before step i.  GARCH(1,1) is the first-order recursion:
-    (g_1 v + K) + a_1 x rounds like (K + g_1 v) + a_1 x.
+    (g_1 v + K) + a_1 x rounds like (K + g_1 v) + a_1 x.  GARCH(2,2) is
+    the general loop unrolled into three locals, in the same operation
+    order, at under half its cost per step (about 350 against 800 ns).
     """
     p, q = params.p, params.q
     k_const, g, a = params.k_const, params.g_coeffs, params.a_coeffs
     if p == q == 1:
         return _first_order(est[-1], x_arr, g[0], k_const, a[0])
+    if p == q == 2:
+        # The general loop below with p = q = 2, unrolled into locals: the
+        # same operations in the same order, without the per-step lists.
+        (g1, g2), (a1, a2) = g, a
+        e2, e1 = est
+        (o1,) = obs
+        estimates = []
+        for x in x_arr.tolist():
+            estimates.append(e1)
+            e2, e1, o1 = e1, k_const + g1 * e1 + g2 * e2 + a1 * x + a2 * o1, x
+        return np.array(estimates), e1
     est, obs, n = list(est), list(obs), int(x_arr.size)
     for x in x_arr.tolist():
         acc = k_const

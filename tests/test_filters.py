@@ -670,6 +670,9 @@ def garch_cases(draw):
     return noisy_series(n, seed=draw(st.integers(0, 2**32 - 1))), par
 
 
+_GARCH22 = GarchParams(2, 2, 0.004, (0.55, 0.2), (0.12, 0.08))
+
+
 class TestRunStepProperties:
     @_PROPERTY_SETTINGS
     @given(extended_cases())
@@ -722,6 +725,8 @@ class TestRunStepProperties:
     @_PROPERTY_SETTINGS
     @given(garch_cases())
     @example((noisy_series(300, seed=5), GarchParams(1, 1, 0.0, (0.7,), (0.3,))))
+    # GARCH(2, 2) has its own unrolled fold
+    @example((noisy_series(300, seed=5), _GARCH22))
     def test_run_equals_step_garch_composition(self, case):
         xs, par = case
         result = run(xs, par)
@@ -736,6 +741,62 @@ class TestRunStepProperties:
             obs_hist.append(x)
         assert np.array_equal(est, result.estimates)
         assert np.array_equal(res, result.residuals)
+
+
+def garch_reference(xs, par: GarchParams, est, obs) -> tuple[np.ndarray, float]:
+    """GARCH(p, q) predictions of xs and the final estimate, from the prior
+    estimates est and observations obs (most recent last), summed in the
+    documented order: K, then g_j v[i-j] for j = 1..p, then a_1 x, then
+    a_m X[i+1-m] for m = 2..q."""
+    v, obs = list(est), list(obs)
+    for x in xs.tolist():
+        acc = par.k_const
+        for j in range(1, par.p + 1):
+            acc = acc + par.g_coeffs[j - 1] * v[-j]
+        acc = acc + par.a_coeffs[0] * x
+        for m in range(2, par.q + 1):
+            acc = acc + par.a_coeffs[m - 1] * obs[1 - m]
+        v.append(acc)
+        obs.append(x)
+    return np.array(v[len(est) - 1 : -1]), v[-1]
+
+
+
+class TestGarchFoldOrder:
+    """Every GARCH fold (the first-order one for (1, 1), the unrolled one
+    for (2, 2) and the general loop) keeps the documented operation
+    order, so it matches a plain loop bit for bit."""
+
+    @_PROPERTY_SETTINGS
+    @given(garch_cases())
+    @example((np.full(6, -0.0), GarchParams(2, 2, -0.0, (0.5, 0.25), (0.125, 0.125))))
+    @example((noisy_series(300, seed=5) * np.resize([1.0, -1.0], 300), _GARCH22))
+    @example((noisy_series(2, seed=5), _GARCH22))
+    # the estimates overflow to inf, and 0 * inf makes them nan
+    @example(
+        (1e300 * noisy_series(60, seed=5), GarchParams(2, 2, 1e308, (0.9, 0.0), (0.05, 0.05)))
+    )
+    def test_run_matches_reference_loop(self, case):
+        xs, par = case
+        v0 = float(xs[0])
+        est, _ = garch_reference(xs, par, [v0] * par.p, [v0] * (par.q - 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = run(xs, par)
+            res = xs - est
+        assert result.estimates.tobytes() == est.tobytes()
+        assert result.residuals.tobytes() == res.tobytes()
+
+    @pytest.mark.parametrize("p, q", [(1, 2), (2, 1), (2, 2), (3, 3)])
+    def test_fold_from_a_history_matches_reference_loop(self, p, q):
+        # run() pads the history with x[0]; distinct prior values tell each
+        # of them apart
+        par = GarchParams(p, q, 0.004, (0.55, 0.2, 0.05)[:p], (0.12, 0.06, 0.02)[:q])
+        xs = noisy_series(200, seed=9)
+        est, obs = [0.3, 0.2, 0.1][:p], [0.7, 0.5][: q - 1]
+        preds, last = filters._fold_garch(est, obs, xs, par)
+        ref_preds, ref_last = garch_reference(xs, par, est, obs)
+        assert preds.tobytes() == ref_preds.tobytes()
+        assert last == ref_last
 
 
 def fused_kernel(b, a, x, axis, zi):
