@@ -29,8 +29,15 @@ k=1 fold is the general order-k update unrolled into two locals, in the
 same operation order, at under a third of the general loop's cost per
 step; the GARCH(2,2) fold is the general GARCH loop unrolled into three
 locals the same way, at under half its cost per step.  The GARCH
-estimates are affine in K and a for fixed g; _garch_basis returns the
-responses that the fit combines.
+estimates are affine in K and a for fixed g; _GarchSystem.basis returns
+the responses that the fit combines, from a band system whose
+series-only parts are built once per series.
+
+run() first prepares its series (PreparedSeries): the shape and finite
+checks, n and the warm-up start, the part of a run that does not depend
+on the parameters.  It accepts a series already prepared, so a tuner,
+which runs one series hundreds to thousands of times, prepares it once
+per fit.
 """
 
 from __future__ import annotations
@@ -54,6 +61,7 @@ __all__ = [
     "ExtendedParams",
     "GarchParams",
     "TrackResult",
+    "PreparedSeries",
     "init_state",
     "step_adaptive",
     "step_garch",
@@ -164,8 +172,9 @@ class TrackResult:
 def init_state(k: int, warmup: Sequence[float]) -> FilterState:
     """Start at the mean of the warmup values with zero derivatives.
 
-    The caller chooses how long a prefix to average; run() supplies
-    min(20, ceil(n/20)) leading observations.
+    The caller chooses how long a prefix to average.  run() takes this
+    start from PreparedSeries.start, which computes it here, once per
+    series, from the min(20, ceil(n/20)) leading observations.
     """
     if k < 0 or k > MAX_ORDER:
         raise ValueError(f"smoothness order k must be in 0..{MAX_ORDER}")
@@ -325,37 +334,53 @@ def _fold_garch(est, obs, x_arr, params: GarchParams) -> tuple[np.ndarray, float
     return np.array(est[p - 1 : p - 1 + n]), est[-1]
 
 
-def _garch_basis(x_arr: np.ndarray, g_coeffs: Sequence[float], q: int) -> np.ndarray:
-    """Responses of run()'s GARCH recursion for fixed g, one per column.
+class _GarchSystem:
+    """The unit lower-triangular band system behind the GARCH(p, q) basis
+    of one series.
 
-    Column 0 is the estimate path with K = a = 0 (only the pre-sample
-    values x[0] drive it), column 1 the response to K = 1 and column
-    1 + m the response to a_m = 1, with run()'s pre-sample padding.  The
-    estimates of GARCH(p, q) with these g are column 0 + K column 1 +
-    sum_m a_m column (1 + m), up to rounding.
+    Lower band storage of v[i] - sum_j g_j v[i-j] = (inputs of step i-1),
+    with v[0] = x[0].  The band's unit diagonal, the unit column and
+    run()'s padded observation columns depend on the series alone, so
+    they are built once; basis() fills only the band's g rows and the
+    pre-sample column.  Both operands are stored column-major, the layout
+    dtbtrs reads, so neither is transposed per call.
     """
-    n, p = int(x_arr.size), len(g_coeffs)
-    x0 = float(x_arr[0])
-    # Lower band storage of the unit lower-triangular system
-    # v[i] - sum_j g_j v[i-j] = (inputs of step i-1), with v[0] = x[0].
-    band = np.zeros((p + 1, n))
-    band[0] = 1.0
-    inputs = np.zeros((n, 2 + q))
-    inputs[0, 0] = x0
-    for j, g in enumerate(g_coeffs, start=1):
-        band[j, : n - j] = -g
-        # pre-sample estimates v[i-j] = x[0] for i < j
-        inputs[1:j, 0] += g * x0
-    inputs[1:, 1] = 1.0
-    padded = np.concatenate((np.full(q - 1, x0), x_arr[:-1]))
-    for m in range(1, q + 1):
-        inputs[1:, 1 + m] = padded[q - m : q - m + n - 1]
-    # forward substitution; the unit diagonal cannot make it fail.  Only
-    # the GARCH fit gets here, so only it loads scipy.linalg.
-    from scipy.linalg import lapack
 
-    basis, _ = lapack.dtbtrs(band, inputs, uplo="L")
-    return basis
+    __slots__ = ("x", "x0", "band", "inputs", "_dtbtrs")
+
+    def __init__(self, x_arr: np.ndarray, p: int, q: int):
+        # Only the GARCH fit builds one, so only it loads scipy.linalg.
+        from scipy.linalg import lapack
+
+        n = int(x_arr.size)
+        self.x, self.x0, self._dtbtrs = x_arr, float(x_arr[0]), lapack.dtbtrs
+        self.band = np.zeros((p + 1, n), order="F")
+        self.band[0] = 1.0
+        self.inputs = np.zeros((n, 2 + q), order="F")
+        self.inputs[0, 0] = self.x0
+        self.inputs[1:, 1] = 1.0
+        padded = np.concatenate((np.full(q - 1, self.x0), x_arr[:-1]))
+        for m in range(1, q + 1):
+            self.inputs[1:, 1 + m] = padded[q - m : q - m + n - 1]
+
+    def basis(self, g_coeffs: Sequence[float]) -> np.ndarray:
+        """Responses of run()'s GARCH recursion for fixed g, one per column.
+
+        Column 0 is the estimate path with K = a = 0 (only the pre-sample
+        values x[0] drive it), column 1 the response to K = 1 and column
+        1 + m the response to a_m = 1, with run()'s pre-sample padding.
+        The estimates of GARCH(p, q) with these g are column 0 + K column
+        1 + sum_m a_m column (1 + m), up to rounding.
+        """
+        band, inputs, x0 = self.band, self.inputs, self.x0
+        n = band.shape[1]
+        inputs[1 : len(g_coeffs), 0] = 0.0
+        for j, g in enumerate(g_coeffs, start=1):
+            band[j, : n - j] = -g
+            # pre-sample estimates v[i-j] = x[0] for i < j
+            inputs[1:j, 0] += g * x0
+        # forward substitution; the unit diagonal cannot make it fail
+        return self._dtbtrs(band, inputs, uplo="L")[0]
 
 
 def step_adaptive(
@@ -420,19 +445,57 @@ def _warmup_count(n: int) -> int:
     return min(20, -(-n // 20))
 
 
-def run(xs: Sequence[float], params: ExtendedParams | GarchParams) -> TrackResult:
+class PreparedSeries:
+    """An observation series checked once, for any number of run() calls.
+
+    Preparing holds everything in run() that does not depend on the
+    parameters: the shape and finite checks, n and the warm-up start of
+    the order-k filters.  run() prepares a plain series itself, so a
+    caller that runs one series many times, as the tuners do, prepares it
+    once and passes the result.  x is a read-only float copy of the
+    observations; len() is n.
+    """
+
+    __slots__ = ("x", "n", "_start")
+
+    def __init__(self, xs: Sequence[float]):
+        x_arr = np.array(xs, dtype=float)
+        if x_arr.ndim != 1 or x_arr.size < 2:
+            raise ValueError("need a one-dimensional series of at least 2 observations")
+        bad = np.flatnonzero(~np.isfinite(x_arr))
+        if bad.size:
+            raise DataError(f"non-finite observation at index {int(bad[0])}")
+        x_arr.setflags(write=False)
+        self.x, self.n, self._start = x_arr, int(x_arr.size), None
+
+    def __len__(self) -> int:
+        return self.n
+
+    @property
+    def start(self) -> float:
+        """init_state's level for the first min(20, ceil(n/20)) observations.
+
+        Computed on first use and kept: the order-k filters start from
+        it, while GARCH runs, which start from x[0], never pay for it.
+        """
+        if self._start is None:
+            self._start = init_state(0, self.x[: _warmup_count(self.n)]).v_hat
+        return self._start
+
+
+def run(
+    xs: Sequence[float] | PreparedSeries, params: ExtendedParams | GarchParams
+) -> TrackResult:
     """Fold the matching recursion over a full observation series.
 
     estimates[i] is the one-step prediction of xs[i]; residuals[i] is
-    xs[i] - estimates[i]; s_n is the mean squared residual.
+    xs[i] - estimates[i]; s_n is the mean squared residual.  xs is
+    prepared first (PreparedSeries) unless it already is; the order-k
+    filters start from the prepared warm-up start, the mean of the first
+    min(20, ceil(n/20)) observations, with zero derivatives.
     """
-    x_arr = np.asarray(xs, dtype=float)
-    if x_arr.ndim != 1 or x_arr.size < 2:
-        raise ValueError("need a one-dimensional series of at least 2 observations")
-    bad = np.flatnonzero(~np.isfinite(x_arr))
-    if bad.size:
-        raise DataError(f"non-finite observation at index {int(bad[0])}")
-    n = int(x_arr.size)
+    series = xs if isinstance(xs, PreparedSeries) else PreparedSeries(xs)
+    x_arr, n = series.x, series.n
     if isinstance(params, GarchParams):
         # The first observation seeds the recursion; missing pre-sample
         # estimates and observations are padded with it.
@@ -443,9 +506,8 @@ def run(xs: Sequence[float], params: ExtendedParams | GarchParams) -> TrackResul
             raise ValueError("a_coeffs must stay well below n (max coefficient < n/10)")
         if abs(params.k_level) >= n:
             raise ValueError("k_level magnitude must stay below n")
-        state = init_state(params.k, x_arr[: _warmup_count(n)])
         estimates, _ = _fold_adaptive(
-            [state.v_hat, *state.derivatives],
+            [series.start] + [0.0] * params.k,
             x_arr,
             gain_schedule(params.k, params.theta, n),
             params,
@@ -453,7 +515,8 @@ def run(xs: Sequence[float], params: ExtendedParams | GarchParams) -> TrackResul
     else:
         raise ValueError(f"unsupported parameter type {type(params).__name__}")
     residuals = x_arr - estimates
-    s_n = float(np.mean(np.square(residuals)))
+    # np.mean's own sum and division, without its wrapper
+    s_n = float(np.add.reduce(np.square(residuals))) / n
     return TrackResult(estimates=estimates, residuals=residuals, s_n=s_n)
 
 

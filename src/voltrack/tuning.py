@@ -34,7 +34,13 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import TuningError
-from .filters import ExtendedParams, GarchParams, _garch_basis, run
+from .filters import (
+    ExtendedParams,
+    GarchParams,
+    PreparedSeries,
+    _GarchSystem,
+    run,
+)
 
 __all__ = [
     "TuningStage",
@@ -150,7 +156,8 @@ def minimize_scalar(
     return best_x, best_f
 
 
-def _series(xs: Sequence[float]) -> np.ndarray:
+def _series(xs: Sequence[float]) -> PreparedSeries:
+    """The series every run of one fit folds over, prepared once."""
     arr = np.asarray(xs, dtype=float)
     if arr.ndim != 1:
         raise ValueError("observation series must be one-dimensional")
@@ -158,13 +165,15 @@ def _series(xs: Sequence[float]) -> np.ndarray:
         raise ValueError(
             f"tuning needs at least {_MIN_SAMPLES} observations, got {arr.size}"
         )
-    return arr
+    return PreparedSeries(arr)
 
 
-def _make_sn(x_arr: np.ndarray, evaluations: list) -> Callable:
+def _make_sn(series: PreparedSeries, evaluations: list) -> Callable:
     def sn_of(params) -> float:
+        # run through this module's binding, so that a wrapper installed
+        # on tuning.run sees every evaluation
         with np.errstate(over="ignore", invalid="ignore"):
-            value = run(x_arr, params).s_n
+            value = run(series, params).s_n
         if not math.isfinite(value):
             # diverged run: the worst value, never recorded
             return math.inf
@@ -180,9 +189,7 @@ def _theta_stage(k: int, sn_of: Callable) -> tuple[float, float]:
         lambda theta: sn_of(ExtendedParams(k, theta)), _THETA_LO, _THETA_HI, _THETA_TOL
     )
     if sn == math.inf:
-        raise TuningError(
-            f"the filter diverges for every theta in [{_THETA_LO}, {_THETA_HI}]"
-        )
+        raise TuningError(f"no theta in [{_THETA_LO}, {_THETA_HI}] gives a finite S_n")
     return theta, sn
 
 
@@ -255,10 +262,10 @@ def _tune_level(xs: Sequence[float], k: int) -> TuningReport:
     polish of (theta, K, a).  The stage of a is named after its
     coefficients ("a1", "a1_a2").
     """
-    x_arr = _series(xs)
-    n = int(x_arr.size)
+    series = _series(xs)
+    n = series.n
     evaluations: list = []
-    sn_of = _make_sn(x_arr, evaluations)
+    sn_of = _make_sn(series, evaluations)
     names = ["theta", "K", *(f"a{m}" for m in range(1, k + 2))]
 
     def make_params(pt: Sequence[float]) -> ExtendedParams:
@@ -267,7 +274,7 @@ def _tune_level(xs: Sequence[float], k: int) -> TuningReport:
     theta, sn = _theta_stage(k, sn_of)
     trace = [TuningStage(name="theta", params={"theta": theta}, sn=sn)]
 
-    k_level = float(np.mean(x_arr))
+    k_level = float(np.mean(series.x))
     if abs(k_level) >= n:
         raise TuningError(
             f"level stage: sample mean {k_level!r} must stay below n = {n} in magnitude"
@@ -344,28 +351,28 @@ def _relax_pair(
 
 
 def _solve_psd(mat: list[list[float]], vec: list[float]) -> list[float] | None:
-    """Solve a small symmetric positive semi-definite system.
+    """Solve a small symmetric positive semi-definite system, in place.
 
-    Gaussian elimination without pivoting.  Returns None when a pivot
-    falls to rounding level against its diagonal entry, that is when the
-    system is singular.
+    Gaussian elimination without pivoting, which overwrites mat and vec.
+    Returns None when a pivot falls to rounding level against its
+    diagonal entry, that is when the system is singular.
     """
     m = len(vec)
-    mat = [row[:] for row in mat]
-    vec = list(vec)
     diag = [mat[i][i] for i in range(m)]
     for i in range(m):
-        piv = mat[i][i]
+        row, piv = mat[i], mat[i][i]
         if not piv > _SINGULAR * diag[i]:
             return None
         for r in range(i + 1, m):
-            f = mat[r][i] / piv
+            below = mat[r]
+            f = below[i] / piv
             for c in range(i, m):
-                mat[r][c] -= f * mat[i][c]
+                below[c] -= f * row[c]
             vec[r] -= f * vec[i]
     y = [0.0] * m
     for i in range(m - 1, -1, -1):
-        y[i] = (vec[i] - sum(mat[i][c] * y[c] for c in range(i + 1, m))) / mat[i][i]
+        row = mat[i]
+        y[i] = (vec[i] - sum(row[c] * y[c] for c in range(i + 1, m))) / row[i]
     return y
 
 
@@ -413,18 +420,48 @@ def _face_minimum(
 
 
 @functools.lru_cache(maxsize=None)
-def _faces(d: int) -> tuple[tuple[tuple[int, ...], int | None], ...]:
+def _faces(d: int) -> tuple[tuple[tuple[int, ...], int | None, tuple[int, ...]], ...]:
     """Faces of {t >= 0, sum(t[1:]) <= cap} in R^d, in the order tried.
 
-    A face is (free entries, pivot): the other entries are zero, and with
-    a pivot the cap binds.  Faces with t[0] (the constant K) free come
-    first, larger faces before smaller, and cap faces last, which puts
-    the usual optima of GARCH fits among the first few.
+    A face is (free entries, pivot, fixed entries): the fixed entries
+    are zero, and with a pivot the cap binds.  Faces with t[0] (the
+    constant K) free come first, larger faces before smaller, and cap
+    faces last, which puts the usual optima of GARCH fits among the
+    first few.
     """
     subsets = [c for m in range(d, 0, -1) for c in itertools.combinations(range(d), m)]
     subsets.sort(key=lambda c: c[0] != 0)
-    capped = [(c, c[-1]) for c in subsets if c[-1] > 0]
-    return tuple([(c, None) for c in subsets] + capped)
+    faces = [(c, None) for c in subsets] + [(c, c[-1]) for c in subsets if c[-1] > 0]
+    return tuple(
+        (c, pivot, tuple(i for i in range(d) if i not in c)) for c, pivot in faces
+    )
+
+
+def _gradient_entry(row: list[float], t: list[float], r: float) -> tuple[float, float]:
+    """Entry i of the gradient G t - r, from row i of G and r = r[i], and
+    its rounding allowance in the Karush-Kuhn-Tucker test."""
+    terms = [g * v for g, v in zip(row, t)]
+    return sum(terms) - r, _KKT_TOL * (abs(r) + sum(abs(v) for v in terms))
+
+
+def _meets_kkt(gram, rhs, t, pivot: int | None, fixed: tuple[int, ...]) -> bool:
+    """The Karush-Kuhn-Tucker sign conditions of a face's minimum t.
+
+    Multipliers: lam for the cap (zero where it does not bind),
+    grad[i] + lam for a fixed a_i and grad[0] for a fixed K.  Only these
+    entries are tested, so only their gradient entries are formed.
+    """
+    lam = 0.0
+    if pivot is not None:
+        grad, tol = _gradient_entry(gram[pivot], t, rhs[pivot])
+        lam = -grad
+        if not lam >= -tol:
+            return False
+    for i in fixed:
+        grad, tol = _gradient_entry(gram[i], t, rhs[i])
+        if not grad + lam * (i > 0) >= -tol:
+            return False
+    return True
 
 
 def _capped_nnls(gram: list[list[float]], rhs: list[float], cap: float) -> list[float]:
@@ -439,47 +476,37 @@ def _capped_nnls(gram: list[list[float]], rhs: list[float], cap: float) -> list[
     reaches the same value.  Should rounding fail every sign test, the feasible
     solution with the lowest value is returned (t = 0 always qualifies).
     """
-    d = len(rhs)
-    best, best_f = [0.0] * d, 0.0
-    for free, pivot in _faces(d):
+    best, best_f = [0.0] * len(rhs), 0.0
+    for free, pivot, fixed in _faces(len(rhs)):
         t = _face_minimum(gram, rhs, cap, free, pivot)
         if t is None or min(t) < 0.0 or (pivot is None and sum(t[1:]) > cap):
             continue
-        terms = [[gram[i][j] * t[j] for j in range(d)] for i in range(d)]
-        grad = [sum(row) - r for row, r in zip(terms, rhs)]
-        tol = [
-            _KKT_TOL * (abs(r) + sum(abs(v) for v in row))
-            for row, r in zip(terms, rhs)
-        ]
-        # Multipliers: lam for the cap (zero where it does not bind),
-        # grad[i] + lam for a fixed a_i and grad[0] for a fixed K.
-        lam = 0.0 if pivot is None else -grad[pivot]
-        if (pivot is None or lam >= -tol[pivot]) and all(
-            grad[i] + lam * (i > 0) >= -tol[i] for i in range(d) if i not in free
-        ):
+        if _meets_kkt(gram, rhs, t, pivot, fixed):
             return t
-        f = sum(ti * (gi - r) for ti, gi, r in zip(t, grad, rhs))
+        f = sum(
+            ti * (_gradient_entry(row, t, r)[0] - r) for ti, row, r in zip(t, gram, rhs)
+        )
         if f < best_f:
             best, best_f = t, f
     return best
 
 
 def _solve_k_a(
-    x_arr: np.ndarray, g: tuple[float, ...], q: int
+    system: _GarchSystem, g: tuple[float, ...]
 ) -> tuple[float, tuple[float, ...]]:
     """Least-squares K and a_1..a_q of GARCH(len(g), q) for fixed g.
 
-    The estimates are affine in (K, a) (filters._garch_basis), so S_n is
-    a quadratic in them, minimized exactly over K, a >= 0 and
+    The estimates are affine in (K, a) (filters._GarchSystem.basis), so
+    S_n is a quadratic in them, minimized exactly over K, a >= 0 and
     sum(a) <= 1 - sum(g).  Where the cap binds, a is then shrunk by a few
     ulps so that sum(g) + sum(a) stays strictly below one.
     """
-    basis = _garch_basis(x_arr, g, q)
+    basis = system.basis(g)
     cols = basis[:, 1:]
     # Overflow leaves a singular system, solved as K = a = 0; its run scores inf.
     with np.errstate(over="ignore", invalid="ignore"):
         gram = (cols.T @ cols).tolist()
-        rhs = (cols.T @ (x_arr - basis[:, 0])).tolist()
+        rhs = (cols.T @ (system.x - basis[:, 0])).tolist()
     g_sum = sum(g)
     k_const, *a = _capped_nnls(gram, rhs, 1.0 - g_sum)
     return k_const, _below_one(g_sum, a)
@@ -509,14 +536,15 @@ def fit_garch(xs: Sequence[float], p: int = 1, q: int = 1) -> TuningReport:
     """
     if p not in (1, 2) or q not in (1, 2):
         raise ValueError(f"p and q must be 1 or 2, got p={p}, q={q}")
-    x_arr = _series(xs)
+    series = _series(xs)
+    system = _GarchSystem(series.x, p, q)
     evaluations: list = []
-    sn_of = _make_sn(x_arr, evaluations)
+    sn_of = _make_sn(series, evaluations)
     seen: dict = {}
 
     def profiled(g: tuple[float, ...]) -> tuple[GarchParams, float]:
         if g not in seen:
-            k_const, a = _solve_k_a(x_arr, g, q)
+            k_const, a = _solve_k_a(system, g)
             params = GarchParams(p=p, q=q, k_const=k_const, g_coeffs=g, a_coeffs=a)
             seen[g] = (params, sn_of(params))
         return seen[g]

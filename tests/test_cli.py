@@ -693,6 +693,19 @@ class TestTune:
             assert captured.err.count("\n") == 1
         assert not out.exists()
 
+    def test_overflowing_residuals_are_not_called_divergence(self, tmp_path, capsys):
+        # The filter is stable on these ordinary prices; only the squares
+        # of residuals near 1e296 overflow, so the error names S_n.
+        path = write_prices(tmp_path, count=201)
+        out = tmp_path / "report.json"
+        argv = ["tune", "--input", path, "--delta", "1e-300", "--filter", "filter0"]
+        code = main([*argv, "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no theta in [0.01, 1000.0] gives a finite S_n\n"
+        assert not out.exists()
+
     def test_garch_report_json(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path)
         out = tmp_path / "report.json"

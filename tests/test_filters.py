@@ -28,9 +28,10 @@ from voltrack import (
 )
 from voltrack import filters
 from voltrack.filters import (
+    PreparedSeries,
     _first_order,
     _fold_first_order,
-    _garch_basis,
+    _GarchSystem,
     _level_first_order,
     _warmup_count,
 )
@@ -574,7 +575,7 @@ class TestRunGarch:
         a = (0.1, 0.05)[:q]
         par = GarchParams(p=p, q=q, k_const=0.01, g_coeffs=g, a_coeffs=a)
         for xs in (noisy_series(300), noisy_series(300) - 0.5):
-            basis = _garch_basis(xs, g, q)
+            basis = _GarchSystem(xs, p, q).basis(g)
             assert basis.shape == (300, 2 + q)
             combined = basis[:, 0] + 0.01 * basis[:, 1] + basis[:, 2:] @ np.asarray(a)
             assert_allclose(combined, run(xs, par).estimates, rtol=1e-13, atol=1e-15)
@@ -846,3 +847,107 @@ class TestOneFoldForRunAndSteps:
         python_fold = []
         _fold_first_order(est[0], xs.tolist(), 0.7, 0.0, 0.3, python_fold)
         assert np.array(python_fold).tobytes() != result.estimates.tobytes()
+
+
+_FAMILIES = (
+    "k0-pure", "k0-relaxed", "k1-pure", "k1-relaxed", "k2-pure", "k2-relaxed",
+    "garch11", "garch22", "garch31",
+)
+
+
+def family_params(data, family: str, n: int) -> ExtendedParams | GarchParams:
+    """Parameters of one family for a run of n, drawn from data."""
+    if family.startswith("garch"):
+        p, q = int(family[5]), int(family[6])
+        weights = data.draw(
+            st.lists(st.floats(0.0, 1.0), min_size=p + q, max_size=p + q)
+        )
+        total = data.draw(st.floats(0.0, 1.0))
+        scale = total / sum(weights) if sum(weights) > 0.0 else 0.0
+        coeffs = [w * scale for w in weights]
+        k_const = data.draw(st.floats(0.0, 0.01))
+        return GarchParams(p, q, k_const, tuple(coeffs[:p]), tuple(coeffs[p:]))
+    k, theta = int(family[1]), data.draw(st.floats(1e-2, 10.0))
+    if family.endswith("pure"):
+        return ExtendedParams(k, theta)
+    # prod (x + r_i) with 0 < r_i <= 0.5 is Hurwitz, its largest
+    # coefficient below n/10 for n >= 120 (see extended_cases)
+    roots = data.draw(st.lists(st.floats(0.05, 0.5), min_size=k + 1, max_size=k + 1))
+    a_coeffs = tuple(float(c) for c in np.poly([-r for r in roots])[1:])
+    return ExtendedParams(k, theta, a_coeffs, data.draw(st.floats(0.0, 0.2)))
+
+
+class TestPreparedSeries:
+    """run() on a prepared series is run() on the plain series, bit for bit."""
+
+    @pytest.mark.parametrize("family", _FAMILIES)
+    @settings(max_examples=10)
+    @given(data=st.data())
+    def test_prepared_run_equals_plain_run(self, family, data):
+        n = data.draw(st.integers(120 if family.endswith("relaxed") else 2, 300))
+        xs = noisy_series(n, seed=data.draw(st.integers(0, 2**32 - 1)))
+        par = family_params(data, family, n)
+        prepared = run(PreparedSeries(xs), par)
+        plain = run(list(xs), par)
+        assert prepared.estimates.tobytes() == plain.estimates.tobytes()
+        assert prepared.residuals.tobytes() == plain.residuals.tobytes()
+        assert prepared.s_n.hex() == plain.s_n.hex()
+        # S_n as np.mean forms it
+        assert plain.s_n.hex() == float(np.mean(np.square(xs - plain.estimates))).hex()
+
+    def test_one_preparation_serves_many_runs(self):
+        xs = noisy_series(300)
+        series = PreparedSeries(xs)
+        assert len(series) == series.n == 300
+        relaxed = ExtendedParams(0, 2.0, (3.0,), 0.1)
+        for par in (ExtendedParams(1, 0.5), _GARCH22, relaxed):
+            assert run(series, par).s_n.hex() == run(xs, par).s_n.hex()
+
+    def test_holds_a_read_only_copy(self):
+        xs = noisy_series(300)
+        series = PreparedSeries(xs)
+        before = run(series, _GARCH22)
+        xs[:] = np.nan
+        assert not series.x.flags.writeable
+        assert run(series, _GARCH22).s_n == before.s_n
+
+
+def reference_garch_basis(x_arr, g_coeffs, q) -> np.ndarray:
+    """The GARCH basis built from scratch for every g: band, input columns
+    and pre-sample column in one pass, as a per-series system fills them."""
+    n, p = int(x_arr.size), len(g_coeffs)
+    x0 = float(x_arr[0])
+    band = np.zeros((p + 1, n))
+    band[0] = 1.0
+    inputs = np.zeros((n, 2 + q))
+    inputs[0, 0] = x0
+    for j, g in enumerate(g_coeffs, start=1):
+        band[j, : n - j] = -g
+        inputs[1:j, 0] += g * x0
+    inputs[1:, 1] = 1.0
+    padded = np.concatenate((np.full(q - 1, x0), x_arr[:-1]))
+    for m in range(1, q + 1):
+        inputs[1:, 1 + m] = padded[q - m : q - m + n - 1]
+    from scipy.linalg import lapack
+
+    basis, _ = lapack.dtbtrs(band, inputs, uplo="L")
+    return basis
+
+
+class TestGarchSystem:
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    @settings(max_examples=8)
+    @given(data=st.data())
+    def test_basis_equals_a_basis_built_per_g(self, p, q, data):
+        # one system serves several g in turn, as in a fit; a negative x[0]
+        # makes g = 0 give -0.0 pre-sample terms
+        n = data.draw(st.integers(2, 200))
+        xs = noisy_series(n, seed=data.draw(st.integers(0, 2**32 - 1)))
+        xs = xs - data.draw(st.sampled_from((0.0, 0.5)))
+        system = _GarchSystem(xs, p, q)
+        for _ in range(3):
+            g = tuple(data.draw(st.sampled_from((0.0, 0.3)) | st.floats(0.0, 0.33))
+                      for _ in range(p))
+            want = reference_garch_basis(xs, g, q)
+            assert system.basis(g).tobytes() == want.tobytes()

@@ -9,11 +9,12 @@ GARCH(1,1) in GARCH(2,2), and random feasible alternatives that the
 exact inner (K, a) solve of the GARCH fit must never beat.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from voltrack import (
@@ -27,7 +28,9 @@ from voltrack import (
     tune_filter1,
     tune_filter2,
 )
-from voltrack.tuning import _solve_k_a
+from voltrack import FuncSpec, Scenario, generate_path, tuning
+from voltrack.filters import _GarchSystem
+from voltrack.tuning import _capped_nnls, _solve_k_a
 
 
 def noise_series(size: int = 300, seed: int = 42) -> np.ndarray:
@@ -347,7 +350,7 @@ class TestGarchProfile:
     @given(garch_profile_cases(), st.data())
     def test_solved_k_a_beats_random_feasible_choices(self, case, data):
         xs, p, q, g = case
-        k_const, a = _solve_k_a(xs, g, q)
+        k_const, a = _solve_k_a(_GarchSystem(xs, p, q), g)
         assert sum(g) + sum(a) < 1.0
         result = run(xs, GarchParams(p=p, q=q, k_const=k_const, g_coeffs=g, a_coeffs=a))
         # non-negative estimates: the zero floor of the recursion is inert
@@ -358,3 +361,201 @@ class TestGarchProfile:
             k_other, a_other = feasible_k_a(data, q, cap, center)
             other = GarchParams(p=p, q=q, k_const=k_other, g_coeffs=g, a_coeffs=a_other)
             assert result.s_n <= run(xs, other).s_n * (1 + 1e-12)
+
+
+# The profile solve as first written, kept as the reference for the leaner
+# one in voltrack.tuning: the same operations in the same order, so the
+# same bits, signed zeros included.
+REFERENCE_SINGULAR = 1e-12
+REFERENCE_KKT_TOL = 1e-10
+
+
+def reference_solve_psd(mat: list[list[float]], vec: list[float]) -> list[float] | None:
+    """tuning._solve_psd as first written: it copies its inputs."""
+    m = len(vec)
+    mat = [row[:] for row in mat]
+    vec = list(vec)
+    diag = [mat[i][i] for i in range(m)]
+    for i in range(m):
+        piv = mat[i][i]
+        if not piv > REFERENCE_SINGULAR * diag[i]:
+            return None
+        for r in range(i + 1, m):
+            f = mat[r][i] / piv
+            for c in range(i, m):
+                mat[r][c] -= f * mat[i][c]
+            vec[r] -= f * vec[i]
+    y = [0.0] * m
+    for i in range(m - 1, -1, -1):
+        y[i] = (vec[i] - sum(mat[i][c] * y[c] for c in range(i + 1, m))) / mat[i][i]
+    return y
+
+
+def reference_face_minimum(
+    gram: list[list[float]],
+    rhs: list[float],
+    cap: float,
+    free: tuple[int, ...],
+    pivot: int | None,
+) -> list[float] | None:
+    """tuning._face_minimum as first written."""
+    t = [0.0] * len(rhs)
+    if pivot is None:
+        mat = [[gram[i][j] for j in free] for i in free]
+        y = reference_solve_psd(mat, [rhs[i] for i in free])
+        if y is None:
+            return None
+        for j, v in zip(free, y):
+            t[j] = v
+        return t
+    others = [j for j in free if j != pivot]
+    # Raising t[j] for j >= 1 lowers t[pivot] by as much: w[j] = 1.
+    w = [float(j > 0) for j in others]
+    gp, gpp, rp = gram[pivot], gram[pivot][pivot], rhs[pivot]
+    mat = [
+        [
+            gram[j][k] - wk * gp[j] - wj * gp[k] + wj * wk * gpp
+            for k, wk in zip(others, w)
+        ]
+        for j, wj in zip(others, w)
+    ]
+    vec = [rhs[j] - cap * gp[j] - wj * (rp - cap * gpp) for j, wj in zip(others, w)]
+    y = reference_solve_psd(mat, vec)
+    if y is None:
+        return None
+    for j, v in zip(others, y):
+        t[j] = v
+    t[pivot] = cap - sum(wj * v for wj, v in zip(w, y))
+    return t
+
+
+def reference_faces(d: int) -> tuple[tuple[tuple[int, ...], int | None], ...]:
+    """tuning._faces as first written: (free entries, pivot) pairs."""
+    subsets = [c for m in range(d, 0, -1) for c in itertools.combinations(range(d), m)]
+    subsets.sort(key=lambda c: c[0] != 0)
+    capped = [(c, c[-1]) for c in subsets if c[-1] > 0]
+    return tuple([(c, None) for c in subsets] + capped)
+
+
+def reference_capped_nnls(
+    gram: list[list[float]], rhs: list[float], cap: float
+) -> list[float]:
+    """tuning._capped_nnls as first written: the full gradient and
+    every tolerance for each feasible face."""
+    d = len(rhs)
+    best, best_f = [0.0] * d, 0.0
+    for free, pivot in reference_faces(d):
+        t = reference_face_minimum(gram, rhs, cap, free, pivot)
+        if t is None or min(t) < 0.0 or (pivot is None and sum(t[1:]) > cap):
+            continue
+        terms = [[gram[i][j] * t[j] for j in range(d)] for i in range(d)]
+        grad = [sum(row) - r for row, r in zip(terms, rhs)]
+        tol = [
+            REFERENCE_KKT_TOL * (abs(r) + sum(abs(v) for v in row))
+            for row, r in zip(terms, rhs)
+        ]
+        # Multipliers: lam for the cap (zero where it does not bind),
+        # grad[i] + lam for a fixed a_i and grad[0] for a fixed K.
+        lam = 0.0 if pivot is None else -grad[pivot]
+        if (pivot is None or lam >= -tol[pivot]) and all(
+            grad[i] + lam * (i > 0) >= -tol[i] for i in range(d) if i not in free
+        ):
+            return t
+        f = sum(ti * (gi - r) for ti, gi, r in zip(t, grad, rhs))
+        if f < best_f:
+            best, best_f = t, f
+    return best
+
+
+@st.composite
+def profile_problems(draw):
+    """(gram, rhs, cap) of a capped non-negative least-squares problem.
+
+    Either random columns, some duplicated or zero so that faces go
+    singular, with right-hand sides that may be all negative or hold
+    signed zeros; or the Gram and right-hand side the GARCH fit forms
+    from its basis on a random series, for p, q in {1, 2}.
+    """
+    cap = draw(st.just(0.0) | st.floats(0.0, 1.0))
+    if draw(st.booleans()):
+        xs, p, q, g = draw(garch_profile_cases())
+        basis = _GarchSystem(xs, p, q).basis(g)
+        cols = basis[:, 1:]
+        return (cols.T @ cols).tolist(), (cols.T @ (xs - basis[:, 0])).tolist(), cap
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cols = rng.standard_normal((draw(st.integers(d, 8)), d))
+    for j in range(d):
+        shape = draw(st.sampled_from(("random", "random", "zero", "duplicate")))
+        if shape == "zero":
+            cols[:, j] = 0.0
+        elif shape == "duplicate":
+            cols[:, j] = cols[:, draw(st.integers(0, d - 1))]
+    rhs = cols.T @ rng.standard_normal(cols.shape[0])
+    if draw(st.booleans()):
+        rhs = -np.abs(rhs)
+    rhs = [draw(st.sampled_from((r, r, 0.0, -0.0))) for r in rhs.tolist()]
+    return (cols.T @ cols).tolist(), rhs, cap
+
+
+class TestProfileSolveReference:
+    """The capped solve of fit_garch keeps the reference's bits."""
+
+    @settings(max_examples=300)
+    @given(profile_problems())
+    # negatively coupled columns and a signed-zero right-hand side: the
+    # back substitution's sum must start from 0 to keep the sign of t[0]
+    @example(([[2.0, -1.0], [-1.0, 2.0]], [-0.0, 0.0], 1.0))
+    def test_matches_the_reference_bit_for_bit(self, problem):
+        gram, rhs, cap = problem
+        kept = repr((gram, rhs))
+        got = _capped_nnls(gram, rhs, cap)
+        assert repr((gram, rhs)) == kept
+        want = reference_capped_nnls(gram, rhs, cap)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+README_SINUSOID = Scenario(
+    mu_spec=FuncSpec("constant", (0.05,)),
+    v_spec=FuncSpec("sinusoid", (0.1, 0.05, 1.0, 0.0)),
+)
+
+
+class TestEveryRunThroughTheModuleBinding:
+    """A tuner calls run through tuning.run, once per evaluation.
+
+    perfbench's tracer counts filter runs by wrapping that binding, so a
+    run made through any other name would drop out of its counts.
+    """
+
+    @pytest.mark.parametrize(
+        "tuner, k",
+        [(tune_filter1, 0), (tune_filter2, 1), (lambda xs: fit_garch(xs, 2, 2), None)],
+        ids=["filter1", "filter2", "garch22"],
+    )
+    def test_every_evaluation_calls_the_binding(self, monkeypatch, tuner, k):
+        xs = generate_path(README_SINUSOID, n=125, seed=1).xs
+        seen = []
+        original = tuning.run
+
+        def counted(series, params):
+            result = original(series, params)
+            seen.append((params, result.s_n))
+            return result
+
+        monkeypatch.setattr(tuning, "run", counted)
+        report = tuner(xs)
+        monkeypatch.undo()
+        finite = [(params, value) for params, value in seen if math.isfinite(value)]
+        assert finite == list(report.evaluations)
+        # Diverged runs, which the report leaves out, count too.  On this
+        # series they are the theta grid points whose pure run overflows:
+        # two for k = 0, none for k = 1; no GARCH run diverges here.
+        diverged = 0
+        if k is not None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                diverged = sum(
+                    not math.isfinite(run(xs, ExtendedParams(k, theta)).s_n)
+                    for theta in np.geomspace(1e-2, 1e3, 25)
+                )
+        assert len(seen) - len(finite) == diverged == (2 if k == 0 else 0)
