@@ -35,9 +35,11 @@ series-only parts are built once per series.
 
 run() first prepares its series (PreparedSeries): the shape and finite
 checks, n and the warm-up start, the part of a run that does not depend
-on the parameters.  It accepts a series already prepared, so a tuner,
-which runs one series hundreds to thousands of times, prepares it once
-per fit.
+on the parameters, all computed when the series is prepared.  It
+accepts a series already prepared, so a tuner, which runs one series
+hundreds to thousands of times, prepares it once per fit.  The box run()
+keeps K and the a_j in, |K| < n and max(a) < n/10, has one home,
+_operating_box, which the level tuners search.
 """
 
 from __future__ import annotations
@@ -173,8 +175,8 @@ def init_state(k: int, warmup: Sequence[float]) -> FilterState:
     """Start at the mean of the warmup values with zero derivatives.
 
     The caller chooses how long a prefix to average.  run() takes this
-    start from PreparedSeries.start, which computes it here, once per
-    series, from the min(20, ceil(n/20)) leading observations.
+    start from PreparedSeries.start, which computes it here when the
+    series is prepared, from the min(20, ceil(n/20)) leading observations.
     """
     if k < 0 or k > MAX_ORDER:
         raise ValueError(f"smoothness order k must be in 0..{MAX_ORDER}")
@@ -450,13 +452,14 @@ class PreparedSeries:
 
     Preparing holds everything in run() that does not depend on the
     parameters: the shape and finite checks, n and the warm-up start of
-    the order-k filters.  run() prepares a plain series itself, so a
-    caller that runs one series many times, as the tuners do, prepares it
-    once and passes the result.  x is a read-only float copy of the
-    observations; len() is n.
+    the order-k filters, init_state's level for the first
+    min(20, ceil(n/20)) observations.  run() prepares a plain series
+    itself, so a caller that runs one series many times, as the tuners
+    do, prepares it once and passes the result.  x is a read-only float
+    copy of the observations; len() is n.
     """
 
-    __slots__ = ("x", "n", "_start")
+    __slots__ = ("x", "n", "start")
 
     def __init__(self, xs: Sequence[float]):
         x_arr = np.array(xs, dtype=float)
@@ -466,21 +469,11 @@ class PreparedSeries:
         if bad.size:
             raise DataError(f"non-finite observation at index {int(bad[0])}")
         x_arr.setflags(write=False)
-        self.x, self.n, self._start = x_arr, int(x_arr.size), None
+        self.x, self.n = x_arr, int(x_arr.size)
+        self.start = init_state(0, x_arr[: _warmup_count(self.n)]).v_hat
 
     def __len__(self) -> int:
         return self.n
-
-    @property
-    def start(self) -> float:
-        """init_state's level for the first min(20, ceil(n/20)) observations.
-
-        Computed on first use and kept: the order-k filters start from
-        it, while GARCH runs, which start from x[0], never pay for it.
-        """
-        if self._start is None:
-            self._start = init_state(0, self.x[: _warmup_count(self.n)]).v_hat
-        return self._start
 
 
 def run(
@@ -492,7 +485,8 @@ def run(
     xs[i] - estimates[i]; s_n is the mean squared residual.  xs is
     prepared first (PreparedSeries) unless it already is; the order-k
     filters start from the prepared warm-up start, the mean of the first
-    min(20, ceil(n/20)) observations, with zero derivatives.
+    min(20, ceil(n/20)) observations, with zero derivatives, and must
+    keep K and every a_j inside _operating_box(n).
     """
     series = xs if isinstance(xs, PreparedSeries) else PreparedSeries(xs)
     x_arr, n = series.x, series.n
@@ -502,9 +496,10 @@ def run(
         v0 = float(x_arr[0])
         estimates, _ = _fold_garch([v0] * params.p, [v0] * (params.q - 1), x_arr, params)
     elif isinstance(params, ExtendedParams):
-        if max(params.a_coeffs) >= n / 10:
+        k_hi, a_hi = _operating_box(n)
+        if max(params.a_coeffs) > a_hi:
             raise ValueError("a_coeffs must stay well below n (max coefficient < n/10)")
-        if abs(params.k_level) >= n:
+        if abs(params.k_level) > k_hi:
             raise ValueError("k_level magnitude must stay below n")
         estimates, _ = _fold_adaptive(
             [series.start] + [0.0] * params.k,
@@ -540,3 +535,10 @@ def step_spectral_radius(k: int, theta: float, n: int) -> float:
     theta: for k = 0 the condition is theta < 2 n^(2/3).
     """
     return float(np.max(np.abs(np.linalg.eigvals(_step_matrix(k, theta, n)))))
+
+
+def _operating_box(n: int) -> tuple[float, float]:
+    """The largest |K| and the largest a_j that run() accepts for a series
+    of n: one ulp below n and one ulp below n/10, so |K| < n and
+    max(a) < n/10 on every finite value."""
+    return math.nextafter(float(n), 0.0), math.nextafter(n / 10.0, 0.0)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
+import secrets
 
 import numpy as np
 
@@ -75,20 +75,20 @@ def json_text(kind: str, doc) -> str:
 
 def atomic_write_text(path: str, text: str) -> None:
     """Write text through a temp file and rename, so a reader never sees
-    a partially written file.  The file gets the mode a plain open()
-    would give it (0o666 less the umask), not mkstemp's 0o600."""
+    a partially written file.  The temp file is created beside the target,
+    under a random name and only if no file has it, so it gets the mode a
+    plain open() would give (0o666 less the umask) without the umask
+    being read or changed."""
     target = os.path.abspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".tmp-")
+    tmp = os.path.join(os.path.dirname(target), f".tmp-{secrets.token_hex(8)}")
+    fh = open(tmp, "x", newline="")
     try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(fh.fileno(), 0o666 & ~umask)
+        with fh:
             fh.write(text)
         os.replace(tmp, target)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        # the temp file is this call's own: open() above created it
+        os.unlink(tmp)
         raise
 
 

@@ -14,10 +14,12 @@ reaction coefficients a, so the best K and a solve a small constrained
 least-squares problem exactly, and only g is searched, on a grid and
 then by multi-start Nelder-Mead, under the stationarity constraint.
 
-A run that diverges (non-finite S_n) scores +inf and is not recorded
-among the evaluations, so no search can prefer it to a finite one, on
-any scale of the series.  A tuner that finds no finite S_n raises
-TuningError.
+Every tuner takes a plain series or a filters.PreparedSeries; one
+private fit object (_Fit) per call prepares it once, runs the S_n
+objective, records the finite evaluations and builds the report.  A run
+that diverges (non-finite S_n) scores +inf and is not recorded among the
+evaluations, so no search can prefer it to a finite one, on any scale of
+the series.  A tuner that finds no finite S_n raises TuningError.
 
 All searches use fixed grids, fixed starts and deterministic
 refinements, so identical inputs produce identical reports.
@@ -39,6 +41,7 @@ from .filters import (
     GarchParams,
     PreparedSeries,
     _GarchSystem,
+    _operating_box,
     run,
 )
 
@@ -156,31 +159,35 @@ def minimize_scalar(
     return best_x, best_f
 
 
-def _series(xs: Sequence[float]) -> PreparedSeries:
-    """The series every run of one fit folds over, prepared once."""
-    arr = np.asarray(xs, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError("observation series must be one-dimensional")
-    if arr.size < _MIN_SAMPLES:
-        raise ValueError(
-            f"tuning needs at least {_MIN_SAMPLES} observations, got {arr.size}"
-        )
-    return PreparedSeries(arr)
+class _Fit:
+    """One tuner call: its series, prepared once unless it already is (its
+    own check is the floor of 50 observations), its S_n objective, the
+    finite evaluations so far and the report built from them."""
 
+    __slots__ = ("series", "evaluations")
 
-def _make_sn(series: PreparedSeries, evaluations: list) -> Callable:
-    def sn_of(params) -> float:
+    def __init__(self, xs: Sequence[float] | PreparedSeries):
+        series = xs if isinstance(xs, PreparedSeries) else PreparedSeries(xs)
+        if series.n < _MIN_SAMPLES:
+            raise ValueError(
+                f"tuning needs at least {_MIN_SAMPLES} observations, got {series.n}"
+            )
+        self.series, self.evaluations = series, []
+
+    def sn(self, params) -> float:
+        """S_n of one run; a diverged run scores inf and is not recorded."""
         # run through this module's binding, so that a wrapper installed
         # on tuning.run sees every evaluation
         with np.errstate(over="ignore", invalid="ignore"):
-            value = run(series, params).s_n
+            value = run(self.series, params).s_n
         if not math.isfinite(value):
-            # diverged run: the worst value, never recorded
             return math.inf
-        evaluations.append((params, value))
+        self.evaluations.append((params, value))
         return value
 
-    return sn_of
+    def report(self, best: tuple, trace: Sequence[TuningStage]) -> TuningReport:
+        """The report of this fit, with best = (best_params, best_sn)."""
+        return TuningReport(*best, tuple(self.evaluations), tuple(trace))
 
 
 def _theta_stage(k: int, sn_of: Callable) -> tuple[float, float]:
@@ -232,40 +239,37 @@ def _polish(
     return point, best_sn
 
 
-def tune_filter0(xs: Sequence[float], k: int = 0) -> TuningReport:
+def tune_filter0(xs: Sequence[float] | PreparedSeries, k: int = 0) -> TuningReport:
     """Tune the pure order-k filter: one-dimensional search over theta."""
-    evaluations: list = []
-    theta, sn = _theta_stage(k, _make_sn(_series(xs), evaluations))
-    best = ExtendedParams(k, theta)
-    trace = (TuningStage(name="theta", params={"theta": theta}, sn=sn),)
-    return TuningReport(
-        best_params=best, best_sn=sn, evaluations=tuple(evaluations), trace=trace
-    )
+    fit = _Fit(xs)
+    theta, sn = _theta_stage(k, fit.sn)
+    trace = [TuningStage(name="theta", params={"theta": theta}, sn=sn)]
+    return fit.report((ExtendedParams(k, theta), sn), trace)
 
 
-def tune_filter1(xs: Sequence[float]) -> TuningReport:
+def tune_filter1(xs: Sequence[float] | PreparedSeries) -> TuningReport:
     """Tune the one-coefficient level filter (k=0) in stages theta, K, a1, polish."""
     return _tune_level(xs, 0)
 
 
-def tune_filter2(xs: Sequence[float]) -> TuningReport:
+def tune_filter2(xs: Sequence[float] | PreparedSeries) -> TuningReport:
     """Tune the two-coefficient level filter (k=1) in stages theta, K, a1_a2, polish."""
     return _tune_level(xs, 1)
 
 
-def _tune_level(xs: Sequence[float], k: int) -> TuningReport:
+def _tune_level(xs: Sequence[float] | PreparedSeries, k: int) -> TuningReport:
     """Staged search for the level filter of order k, with k+1 coefficients a.
 
     Stages: theta with a = K = 0; K = sample mean of the observations;
-    the relaxation coefficients a with theta and K fixed, inside [0, n/10)
-    (k=0: the scalar minimizer; k=1: _relax_pair); coordinate-descent
+    the relaxation coefficients a with theta and K fixed, inside run()'s
+    operating box, filters._operating_box (k=0: the scalar minimizer;
+    k=1: _relax_pair); coordinate-descent
     polish of (theta, K, a).  The stage of a is named after its
     coefficients ("a1", "a1_a2").
     """
-    series = _series(xs)
-    n = series.n
-    evaluations: list = []
-    sn_of = _make_sn(series, evaluations)
+    fit = _Fit(xs)
+    n, sn_of = fit.series.n, fit.sn
+    k_hi, a_hi = _operating_box(n)
     names = ["theta", "K", *(f"a{m}" for m in range(1, k + 2))]
 
     def make_params(pt: Sequence[float]) -> ExtendedParams:
@@ -274,16 +278,13 @@ def _tune_level(xs: Sequence[float], k: int) -> TuningReport:
     theta, sn = _theta_stage(k, sn_of)
     trace = [TuningStage(name="theta", params={"theta": theta}, sn=sn)]
 
-    k_level = float(np.mean(series.x))
-    if abs(k_level) >= n:
+    k_level = float(np.mean(fit.series.x))
+    if abs(k_level) > k_hi:
         raise TuningError(
             f"level stage: sample mean {k_level!r} must stay below n = {n} in magnitude"
         )
     sn = sn_of(make_params([theta, k_level, *(0.0,) * (k + 1)]))
     trace.append(TuningStage(name="K", params={"theta": theta, "K": k_level}, sn=sn))
-
-    # run() requires |K| < n and max(a) < n/10: the boxes are capped one ulp inside.
-    k_hi, a_hi = math.nextafter(float(n), 0.0), math.nextafter(n / 10.0, 0.0)
 
     def relaxed(a: tuple[float, ...]) -> float:
         return sn_of(make_params([theta, k_level, *a]))
@@ -301,12 +302,7 @@ def _tune_level(xs: Sequence[float], k: int) -> TuningReport:
     bounds = [(_THETA_LO, _THETA_HI), (0.0, k_hi), *[(0.0, a_hi)] * (k + 1)]
     point, sn = _polish(point, bounds, make_params, sn_of, sn)
     trace.append(TuningStage(name="polish", params=dict(zip(names, point)), sn=sn))
-    return TuningReport(
-        best_params=make_params(point),
-        best_sn=sn,
-        evaluations=tuple(evaluations),
-        trace=tuple(trace),
-    )
+    return fit.report((make_params(point), sn), trace)
 
 
 def _relax_pair(
@@ -521,7 +517,7 @@ def _below_one(base: float, coeffs: Sequence[float]) -> tuple[float, ...]:
     return tuple(coeffs)
 
 
-def fit_garch(xs: Sequence[float], p: int = 1, q: int = 1) -> TuningReport:
+def fit_garch(xs: Sequence[float] | PreparedSeries, p: int = 1, q: int = 1) -> TuningReport:
     """Fit GARCH(p, q) by least squares, with K and a profiled out.
 
     For fixed recursive coefficients g the estimates are affine in the
@@ -536,17 +532,15 @@ def fit_garch(xs: Sequence[float], p: int = 1, q: int = 1) -> TuningReport:
     """
     if p not in (1, 2) or q not in (1, 2):
         raise ValueError(f"p and q must be 1 or 2, got p={p}, q={q}")
-    series = _series(xs)
-    system = _GarchSystem(series.x, p, q)
-    evaluations: list = []
-    sn_of = _make_sn(series, evaluations)
+    fit = _Fit(xs)
+    system = _GarchSystem(fit.series.x, p, q)
     seen: dict = {}
 
     def profiled(g: tuple[float, ...]) -> tuple[GarchParams, float]:
         if g not in seen:
             k_const, a = _solve_k_a(system, g)
             params = GarchParams(p=p, q=q, k_const=k_const, g_coeffs=g, a_coeffs=a)
-            seen[g] = (params, sn_of(params))
+            seen[g] = (params, fit.sn(params))
         return seen[g]
 
     # Axis points whose sum rounds to one are pulled just inside.
@@ -556,7 +550,7 @@ def fit_garch(xs: Sequence[float], p: int = 1, q: int = 1) -> TuningReport:
         if sum(g) <= 1.0
     ]
     grid_sn = [profiled(g)[1] for g in grid]
-    if not evaluations:
+    if not fit.evaluations:
         # g = 0 (no feedback) is on the grid: the series itself overflows
         raise TuningError("no GARCH parameter set on the grid gives a finite S_n")
     # sorted is stable: equal values keep the grid order.
@@ -592,10 +586,4 @@ def fit_garch(xs: Sequence[float], p: int = 1, q: int = 1) -> TuningReport:
             TuningStage(name=f"start{idx}", params=dict(zip(names, coeffs)), sn=value)
         )
     # min returns the first of equal minima: ties go to the earliest evaluation.
-    best_params, best_sn = min(evaluations, key=lambda e: e[1])
-    return TuningReport(
-        best_params=best_params,
-        best_sn=best_sn,
-        evaluations=tuple(evaluations),
-        trace=tuple(trace),
-    )
+    return fit.report(min(fit.evaluations, key=lambda e: e[1]), trace)

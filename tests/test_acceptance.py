@@ -23,11 +23,13 @@ from voltrack import (
     Scenario,
     convergence_experiment,
     decomposition_diagnostics,
+    fit_garch,
     gain_schedule,
     generate_path,
     main,
     ordering_agreement,
     run,
+    sample_paths,
     shift_sensitivity,
     solve_care,
     stability_report,
@@ -285,6 +287,29 @@ def test_staged_tuning_nests_and_polish_is_modest():
     mean_improvement = float(np.mean(improvements))
     assert 0.0 <= mean_improvement <= 0.15, f"polish changed S_n by {mean_improvement}"
     assert time.monotonic() - start < 120.0
+
+
+def test_tuning_the_pure_filter_takes_fewer_runs_than_fitting_garch():
+    # The paper's third claim, that tuning the filter is faster than
+    # fitting GARCH, in evaluation counts, which no host can move: on
+    # every path, tuning theta makes fewer runs than fitting GARCH(1,1).
+    regime = Scenario(
+        mu_spec=FuncSpec("constant", (0.05,)),
+        v_spec=FuncSpec(
+            "regime_switch", levels=(0.05, 0.2, 0.1), breakpoints=(0.3337, 0.6671)
+        ),
+    )
+    counts = {}
+    seeds = range(100, 120)
+    for name, scenario in (("sinusoid", SMOOTH), ("regime", regime)):
+        for n in (1000, 4000):
+            for seed, path in zip(seeds, sample_paths(scenario, n, seeds)):
+                counts[name, n, seed] = (
+                    len(tune_filter0(path.xs).evaluations),
+                    len(fit_garch(path.xs, 1, 1).evaluations),
+                )
+    slower = {key: c for key, c in counts.items() if not c[0] < c[1]}
+    assert len(counts) == 80 and not slower, slower
 
 
 def test_drift_shift_influence_vanishes_with_sample_size():

@@ -903,6 +903,12 @@ class TestPreparedSeries:
         for par in (ExtendedParams(1, 0.5), _GARCH22, relaxed):
             assert run(series, par).s_n.hex() == run(xs, par).s_n.hex()
 
+    @pytest.mark.parametrize("n", [2, 125, 4000])
+    def test_start_is_the_warmup_mean(self, n):
+        xs = noisy_series(n)
+        warmup = xs[: min(20, math.ceil(n / 20))]
+        assert PreparedSeries(xs).start.hex() == init_state(0, warmup).v_hat.hex()
+
     def test_holds_a_read_only_copy(self):
         xs = noisy_series(300)
         series = PreparedSeries(xs)
@@ -910,6 +916,31 @@ class TestPreparedSeries:
         xs[:] = np.nan
         assert not series.x.flags.writeable
         assert run(series, _GARCH22).s_n == before.s_n
+
+
+class TestOperatingBox:
+    """run() keeps |K| < n and max(a) < n/10: one ulp inside runs, the
+    edge itself is refused."""
+
+    @pytest.mark.parametrize("n", [2, 125, 4000])
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_one_ulp_inside_runs(self, n, k):
+        xs = noisy_series(n)
+        a_in, k_in = math.nextafter(n / 10, 0.0), math.nextafter(float(n), 0.0)
+        for a, level in ((a_in, 0.0), (0.0, k_in), (0.0, -k_in), (a_in, k_in)):
+            par = ExtendedParams(k, 1.0, (a,) * (k + 1), level)
+            assert math.isfinite(run(xs, par).s_n)
+
+    @pytest.mark.parametrize("n", [2, 125, 4000])
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_the_edge_is_refused(self, n, k):
+        xs = noisy_series(n)
+        zeros = (0.0,) * k
+        with pytest.raises(ValueError, match=r"max coefficient < n/10\)$"):
+            run(xs, ExtendedParams(k, 1.0, (n / 10, *zeros)))
+        for level in (float(n), -float(n)):
+            with pytest.raises(ValueError, match="^k_level magnitude must stay below n$"):
+                run(xs, ExtendedParams(k, 1.0, k_level=level))
 
 
 def reference_garch_basis(x_arr, g_coeffs, q) -> np.ndarray:

@@ -1,14 +1,17 @@
-"""The output layer: csv_text and json_text.
+"""The output layer: csv_text, json_text and atomic_write_text.
 
 Oracles: csv.reader and float() give back every cell bit for bit,
-csv.writer's QUOTE_MINIMAL rule for text cells, and hand-written
-expected documents.
+csv.writer's QUOTE_MINIMAL rule for text cells, hand-written
+expected documents, and the file modes and directory listings a write
+leaves.
 """
 
 import csv
 import io
 import json
 import math
+import os
+import stat
 import struct
 
 import numpy as np
@@ -16,7 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voltrack.ioutil import SCHEMA_VERSION, csv_text, json_text
+from voltrack import ioutil
+from voltrack.ioutil import SCHEMA_VERSION, atomic_write_text, csv_text, json_text
 
 # +-0.0, subnormals, +-max and the infinities are all drawn by st.floats
 floats = st.floats(allow_nan=False)
@@ -130,3 +134,43 @@ class TestJsonText:
     def test_non_finite_numbers_are_refused(self, value):
         with pytest.raises(ValueError):
             json_text("k", {"rows": [{"cells": {"a": value}}]})
+
+
+class TestAtomicWriteText:
+    def test_mode_follows_the_umask_without_setting_it(self, tmp_path, monkeypatch):
+        def umask(mask):
+            raise AssertionError("atomic_write_text must not set the umask")
+
+        target = tmp_path / "out.csv"
+        old_umask = os.umask(0o027)
+        try:
+            monkeypatch.setattr(os, "umask", umask)
+            atomic_write_text(str(target), "a,b\n")
+        finally:
+            monkeypatch.undo()
+            os.umask(old_umask)
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+        assert target.read_text() == "a,b\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_failed_rename_removes_its_temp_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "out.csv"
+        target.write_text("old\n")
+
+        def replace(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError, match="rename refused"):
+            atomic_write_text(str(target), "new\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+        assert target.read_text() == "old\n"
+
+    def test_an_existing_file_of_the_temp_name_is_left_alone(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ioutil.secrets, "token_hex", lambda nbytes: "0" * 16)
+        taken = tmp_path / (".tmp-" + "0" * 16)
+        taken.write_text("someone else's\n")
+        with pytest.raises(FileExistsError):
+            atomic_write_text(str(tmp_path / "out.csv"), "new\n")
+        assert [p.name for p in tmp_path.iterdir()] == [taken.name]
+        assert taken.read_text() == "someone else's\n"

@@ -29,7 +29,7 @@ from voltrack import (
     tune_filter2,
 )
 from voltrack import FuncSpec, Scenario, generate_path, tuning
-from voltrack.filters import _GarchSystem
+from voltrack.filters import PreparedSeries, _GarchSystem
 from voltrack.tuning import _capped_nnls, _solve_k_a
 
 
@@ -559,3 +559,33 @@ class TestEveryRunThroughTheModuleBinding:
                     for theta in np.geomspace(1e-2, 1e3, 25)
                 )
         assert len(seen) - len(finite) == diverged == (2 if k == 0 else 0)
+
+
+class TestPreparedSeriesInput:
+    """Every tuner takes a PreparedSeries as it is and reports on it what
+    it reports on the plain series, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "tuner",
+        [
+            tune_filter0,
+            lambda xs: tune_filter0(xs, k=2),
+            tune_filter1,
+            tune_filter2,
+            lambda xs: fit_garch(xs, 1, 1),
+            lambda xs: fit_garch(xs, 2, 2),
+        ],
+        ids=["filter0", "filter0-k2", "filter1", "filter2", "garch11", "garch22"],
+    )
+    def test_prepared_series_gives_the_plain_report(self, tuner):
+        xs = generate_path(README_SINUSOID, n=125, seed=1).xs
+        plain, prepared = tuner(xs), tuner(PreparedSeries(xs))
+        assert prepared.best_params == plain.best_params
+        assert prepared.best_sn.hex() == plain.best_sn.hex()
+        # repr tells every float apart, -0.0 from 0.0 included
+        assert repr(prepared.evaluations) == repr(plain.evaluations)
+        assert repr(prepared.trace) == repr(plain.trace)
+
+    def test_short_prepared_series_is_refused(self):
+        with pytest.raises(ValueError, match="at least 50 observations, got 10"):
+            tune_filter0(PreparedSeries(np.full(10, 0.1)))
