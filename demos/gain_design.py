@@ -1,7 +1,7 @@
 """Tour of the gain design machinery.
 
 Solves the constrained Riccati problem for the small orders, prints the
-closed-form first columns next to the numerical ones, turns them into
+first column of each solution U (the gain numerators), turns them into
 per-step gain schedules for a concrete sample size, and certifies the
 characteristic-polynomial roots that make the filters stable.
 """
@@ -16,7 +16,7 @@ print("Riccati first columns (these are the gain numerators)")
 print("-" * 60)
 for k in range(5):
     sol = solve_care(k)
-    print(f"k={k}: {np.array2string(sol.first_column, separator=', ')}")
+    print(f"k={k}: {np.array2string(sol[:, 0], separator=', ')}")
 
 print()
 print("Gain schedules for n=4000 at a few adaptation levels")

@@ -226,10 +226,12 @@ def _distinct_outputs(args, *flag_paths: tuple[str, str | None]) -> None:
 
 
 def _check_k(args) -> None:
-    """--k is required by adaptive-k and refused by every other kind."""
+    """--k is required by adaptive-k, in 0..MAX_ORDER, and refused by
+    every other kind."""
     if args.filter == "adaptive-k":
         if args.k is None:
             raise ValueError("adaptive-k requires --k")
+        ExtendedParams(args.k, 1.0)  # refuses a k out of range in its own words
     elif args.k is not None:
         raise ValueError(f"--k does not apply to {args.filter}")
 

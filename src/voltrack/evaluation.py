@@ -285,7 +285,7 @@ def shift_sensitivity(
     params = tune_filter0(next(paths).xs, k).best_params
     rel_changes = []
     for path in paths:
-        shift = decomposition_diagnostics(scenario, path).theta
+        shift = decomposition_diagnostics(path).theta
         raw = _scores(path, path.xs, params, burn)[1]
         shifted = _scores(path, path.xs - shift, params, burn)[1]
         rel_changes.append(abs(shifted - raw) / raw)

@@ -9,11 +9,13 @@ with driving noise entering the last coordinate:
     a U + U a' + B B' - U A'A U = 0,
 
 where a is the upper shift matrix, A selects the first coordinate and B
-is the last standard basis column.  Only the first column of U matters
-downstream: scaled by powers of the adaptation parameter theta and the
-sample size n it becomes the per-step gain of each filter equation, and
-rescaled by theta alone it gives the coefficients of the closed-loop
-characteristic polynomial whose root locations certify stability.
+is the last standard basis column.  solve_care returns U itself, cached
+and read-only.  Only its first column U[:, 0] matters downstream, and
+callers read it in place: scaled by powers of the adaptation parameter
+theta and the sample size n it becomes the per-step gain of each filter
+equation, and rescaled by theta alone it gives the coefficients of the
+closed-loop characteristic polynomial whose root locations certify
+stability.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .errors import SolverError
 
 __all__ = [
     "MAX_ORDER",
-    "RiccatiSolution",
     "GainSchedule",
     "StabilityReport",
     "solve_care",
@@ -40,15 +41,6 @@ MAX_ORDER = 8
 
 _RESIDUAL_TOL = 1e-9
 _DISTINCT_RTOL = 1e-8
-
-
-@dataclass(frozen=True)
-class RiccatiSolution:
-    """Positive-definite solution of the gain Riccati equation for order k."""
-
-    k: int
-    u_matrix: np.ndarray
-    first_column: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -135,8 +127,12 @@ def _newton_solve(k: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def solve_care(k: int) -> RiccatiSolution:
-    """Solve the gain Riccati equation for smoothness order k (0..8)."""
+def solve_care(k: int) -> np.ndarray:
+    """Solve the gain Riccati equation for smoothness order k (0..8).
+
+    Returns the positive-definite (k+1)x(k+1) solution U, cached and
+    read-only; its first column U[:, 0] holds the gains.
+    """
     if k < 0 or k > MAX_ORDER:
         raise ValueError(f"smoothness order k must be in 0..{MAX_ORDER}, got {k}")
     k = int(k)
@@ -146,7 +142,6 @@ def solve_care(k: int) -> RiccatiSolution:
         raise SolverError(
             f"Riccati iteration did not converge for k={k}", residual_norm=residual
         )
-    first = u[:, 0].copy()
     try:
         np.linalg.cholesky(u)
     except np.linalg.LinAlgError as exc:
@@ -156,14 +151,13 @@ def solve_care(k: int) -> RiccatiSolution:
         ) from exc
     # Newton and the residual read the same matrices, so an error in the
     # equation itself passes both; the closed form shares none of them.
-    if float(np.max(np.abs(first - _closed_form_column(k)))) > _RESIDUAL_TOL:
+    if float(np.max(np.abs(u[:, 0] - _closed_form_column(k)))) > _RESIDUAL_TOL:
         raise SolverError(
             f"Riccati solution disagrees with the closed form for k={k}",
             residual_norm=residual,
         )
     u.setflags(write=False)
-    first.setflags(write=False)
-    return RiccatiSolution(k=k, u_matrix=u, first_column=first)
+    return u
 
 
 def gain_schedule(k: int, theta: float, n: int) -> GainSchedule:
@@ -175,12 +169,12 @@ def gain_schedule(k: int, theta: float, n: int) -> GainSchedule:
         raise ValueError(f"theta must be positive and finite, got {theta}")
     if n < 2:
         raise ValueError(f"sample size n must be at least 2, got {n}")
-    sol = solve_care(k)
+    u = solve_care(k)
     m = k + 1
     denom = 2 * k + 3
     gains = np.empty(m)
     for j in range(m):
-        gains[j] = sol.first_column[j] * theta ** ((j + 1) / m) / n ** ((2 * m - j) / denom)
+        gains[j] = u[j, 0] * theta ** ((j + 1) / m) / n ** ((2 * m - j) / denom)
     gains.setflags(write=False)
     return GainSchedule(k=k, theta=float(theta), n=int(n), step_gains=gains)
 
@@ -195,10 +189,10 @@ def stability_report(k: int, theta: float) -> StabilityReport:
     """
     if not (math.isfinite(theta) and theta > 0.0):
         raise ValueError(f"theta must be positive and finite, got {theta}")
-    sol = solve_care(k)
+    u = solve_care(k)
     m = k + 1
     coeffs = np.concatenate(
-        ([1.0], [sol.first_column[j] * theta ** ((j + 1) / m) for j in range(m)])
+        ([1.0], [u[j, 0] * theta ** ((j + 1) / m) for j in range(m)])
     )
     roots = np.roots(coeffs)
     roots = roots[np.lexsort((roots.imag, roots.real))]

@@ -13,6 +13,8 @@ a scenario once per sample size and draws every seed's path from them,
 so the paths of one (scenario, n) share their read-only v_bar and
 mu_bar.  `generate_path` is its one-seed case.  A path whose prices or
 observations leave the float range raises ScenarioError.
+`decomposition_diagnostics` splits a path's observations into signal,
+shift and noise from that path's own v_bar and mu_bar alone.
 
 The random generator is numpy's default PCG64 seeded explicitly, so
 paths are reproducible bit for bit per seed.
@@ -185,17 +187,14 @@ def _interval_means(
     horizon: float,
     n: int,
     require_positive: bool = False,
-    count: int | None = None,
 ) -> np.ndarray:
-    """Per-interval averages (1/delta) int f dt by composite Simpson, over
-    the first `count` (default all n) of the n intervals."""
+    """Per-interval averages (1/delta) int f dt by composite Simpson."""
     delta = horizon / n
     h = delta / _QUAD_PANELS
     offsets = np.arange(_QUAD_PANELS + 1) * h
-    count = n if count is None else count
-    out = np.empty(count)
-    for start in range(0, count, _QUAD_BLOCK):
-        stop = min(count, start + _QUAD_BLOCK)
+    out = np.empty(n)
+    for start in range(0, n, _QUAD_BLOCK):
+        stop = min(n, start + _QUAD_BLOCK)
         t0 = np.arange(start, stop, dtype=float) * delta
         nodes = t0[:, None] + offsets[None, :]
         y = np.asarray(spec.values(nodes), dtype=float)
@@ -282,19 +281,14 @@ def compute_heteroscedasticity(prices, delta: float) -> np.ndarray:
         return r * r / delta
 
 
-def decomposition_diagnostics(scenario: Scenario, path: PathResult) -> NoiseDecomposition:
-    """Split the observations into signal, deterministic shift and noise.
+def decomposition_diagnostics(path: PathResult) -> NoiseDecomposition:
+    """Split a path's observations into signal, deterministic shift and noise.
 
+    Everything is read from the path's own v_bar, mu_bar and delta.
     theta_i = 0.25*delta*(2*mu_bar - v_bar)^2 comes from expanding the
     squared log-return; eta_i = X_i - v_bar - theta_i has mean zero and
     variance sigma_sq_i = delta*v_bar*(2*mu_bar - v_bar)^2 + 2*v_bar^2.
     """
-    n = path.v_bar.size
-    # cheap spot check that the path really matches the scenario
-    m = min(n, 64)
-    v_check = _interval_means(scenario.v_spec, scenario.horizon_t, n, count=m)
-    if not np.allclose(v_check, path.v_bar[:m], rtol=1e-10, atol=0.0):
-        raise ValueError("path was not generated from this scenario")
     swing = 2.0 * path.mu_bar - path.v_bar
     theta = 0.25 * path.delta * swing**2
     eta = path.xs - path.v_bar - theta

@@ -526,9 +526,10 @@ def fit_garch(xs: Sequence[float] | PreparedSeries, p: int = 1, q: int = 1) -> T
     sum(g) + sum(a) < 1; see _solve_k_a), and only g is searched
     (variable projection, Golub and Pereyra 1973).  The search scans a
     grid (11 points per coefficient on [0, 1), pairs with g1 + g2 < 1)
-    and refines the 8 best grid points by Nelder-Mead; each refinement is
-    one trace stage.  Every value the search sees is a full run, and only
-    these feasible runs enter the report, so best_sn is run(best_params).s_n.
+    and refines the 8 best grid points with a finite S_n by Nelder-Mead;
+    each refinement is one trace stage.  Every value the search sees is a
+    full run, and only these feasible runs enter the report, so best_sn is
+    run(best_params).s_n.
     """
     if p not in (1, 2) or q not in (1, 2):
         raise ValueError(f"p and q must be 1 or 2, got p={p}, q={q}")
@@ -550,11 +551,14 @@ def fit_garch(xs: Sequence[float] | PreparedSeries, p: int = 1, q: int = 1) -> T
         if sum(g) <= 1.0
     ]
     grid_sn = [profiled(g)[1] for g in grid]
-    if not fit.evaluations:
+    # Only finite grid points start a refinement: Nelder-Mead cannot
+    # order a simplex of infinities.
+    finite = [i for i, sn in enumerate(grid_sn) if sn < math.inf]
+    if not finite:
         # g = 0 (no feedback) is on the grid: the series itself overflows
         raise TuningError("no GARCH parameter set on the grid gives a finite S_n")
     # sorted is stable: equal values keep the grid order.
-    starts = sorted(range(len(grid)), key=grid_sn.__getitem__)[:_GARCH_STARTS]
+    starts = sorted(finite, key=grid_sn.__getitem__)[:_GARCH_STARTS]
 
     def clipped(vec) -> tuple[float, ...]:
         # Negative coefficients are scored at zero, so optima on that

@@ -442,6 +442,30 @@ class TestExitCodes:
         assert err.startswith("error:")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("T = 1.0", "T = abc", "bad value for T: 'abc'"),
+        ("v.kind = sinusoid\nv.params = 0.09, 0.04, 2.0, 0.3",
+         "v.kind = sum\nv.terms = x", "bad term count for v.terms: 'x'"),
+        ("v.kind = sinusoid", "v.kind = foo", "unknown spec kind 'foo' for v"),
+    ], ids=["value", "term-count", "kind"])
+    def test_bad_scenario_config_is_one_error_line(self, tmp_path, old, new, message):
+        path, out = tmp_path / "s.cfg", tmp_path / "out.csv"
+        path.write_text(SCENARIO_TEXT.replace(old, new))
+        argv = ["simulate", "--scenario", str(path), "--n", "100", "--out", str(out)]
+        assert quiet_main(argv) == (1, "", f"error: {message}\n")
+        assert not out.exists()
+
+    def test_overlong_csv_field_is_one_error_line(self, tmp_path):
+        # csv refuses a field past its default limit of 131072 characters
+        path, out = tmp_path / "p.csv", tmp_path / "out.csv"
+        path.write_text("price\n" + "1" * 131073 + "\n2.0\n")
+        argv = ["track", "--input", str(path), "--filter", "filter0", "--theta", "1",
+                "--out", str(out)]
+        assert quiet_main(argv) == (
+            1, "", f"error: {path}: malformed CSV: field larger than field limit (131072)\n"
+        )
+        assert not out.exists()
+
     def test_conflicting_flags_exit_one(self, tmp_path, capsys):
         path = write_prices(tmp_path)
         code = main(
@@ -555,6 +579,8 @@ class TestFlagsBeforeInput:
             ("track --filter garch11 --g 0.8", "garch11 requires --level"),
             ("tune --filter filter0 --k 2", "--k does not apply to filter0"),
             ("tune --filter adaptive-k", "adaptive-k requires --k"),
+            ("tune --filter adaptive-k --k -1", "smoothness order k must be in 0..8"),
+            ("track --filter adaptive-k --k 9 --tune", "smoothness order k must be in 0..8"),
         ],
     )
     def test_refused_flags_win_over_a_missing_input(
@@ -692,6 +718,29 @@ class TestTune:
             assert captured.err.startswith("error:")
             assert captured.err.count("\n") == 1
         assert not out.exists()
+
+    def test_garch_fit_on_a_mostly_overflowing_grid_writes_finite_json(
+        self, tmp_path, capsys
+    ):
+        # Prices that double each row at delta = 1e-200: only the grid
+        # points with g1 + g2 just below one give a finite S_n.
+        path = tmp_path / "doubling.csv"
+        path.write_text("price\n" + "".join(f"{2.0**i!r}\n" for i in range(150)))
+        out = tmp_path / "r.json"
+        code = main(
+            [
+                "tune",
+                "--input", str(path),
+                "--delta", "1e-200",
+                "--filter", "garch22",
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        assert capsys.readouterr().out == "best_sn = 0.0\n"
+        doc = json.loads(out.read_text())
+        assert doc["best_sn"] == 0.0
+        assert [s["sn"] for s in doc["trace"]] == [0.0, 0.0]
 
     def test_overflowing_residuals_are_not_called_divergence(self, tmp_path, capsys):
         # The filter is stable on these ordinary prices; only the squares

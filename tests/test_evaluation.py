@@ -254,6 +254,14 @@ class TestBenchmarkReport:
         # the staged level filter starts from the pure filter's solution
         assert cells["filter1"] <= cells["filter0"] + 1e-12
 
+    def test_failed_fits_leave_their_cells_empty(self):
+        # squares near 1e310 overflow every run of every method; the
+        # warnings filter of this suite would fail the test on any warning
+        xs = 1e155 * np.random.default_rng(3).chisquare(1, 150)
+        assert benchmark_report({"big": xs}) == {
+            "big": dict.fromkeys(BENCH_METHODS, None)
+        }
+
     def test_validation(self):
         with pytest.raises(ValueError):
             benchmark_report({})

@@ -64,8 +64,7 @@ def riccati_residual_oracle(u: np.ndarray) -> np.ndarray:
 class TestSolveCare:
     def test_first_columns_match_closed_forms(self):
         for k, expected in CLOSED_FORMS.items():
-            sol = solve_care(k)
-            assert_allclose(sol.first_column, expected, rtol=0.0, atol=1e-9)
+            assert_allclose(solve_care(k)[:, 0], expected, rtol=0.0, atol=1e-9)
 
     def test_butterworth_product_matches_closed_forms(self):
         for k, expected in CLOSED_FORMS.items():
@@ -73,7 +72,7 @@ class TestSolveCare:
 
     def test_newton_agrees_with_butterworth_product_for_all_orders(self):
         for k in range(MAX_ORDER + 1):
-            column = solve_care(k).first_column
+            column = solve_care(k)[:, 0]
             assert_allclose(column, gains._closed_form_column(k), rtol=0.0, atol=1e-12)
 
     def test_error_shared_by_newton_and_residual_is_caught(self, monkeypatch):
@@ -94,8 +93,7 @@ class TestSolveCare:
 
     def test_residual_is_small_for_all_orders(self):
         for k in range(MAX_ORDER + 1):
-            sol = solve_care(k)
-            res = riccati_residual_oracle(sol.u_matrix)
+            res = riccati_residual_oracle(solve_care(k))
             assert np.linalg.norm(res) < 1e-9
 
     def test_agrees_with_general_purpose_care_solver(self):
@@ -109,29 +107,25 @@ class TestSolveCare:
             q = np.zeros((m, m))
             q[m - 1, m - 1] = 1.0
             expected = solve_continuous_are(shift.T, b, q, np.eye(1))
-            assert_allclose(solve_care(k).u_matrix, expected, rtol=1e-8, atol=1e-10)
+            assert_allclose(solve_care(k), expected, rtol=1e-8, atol=1e-10)
 
     def test_solution_is_symmetric_positive_definite(self):
         for k in range(MAX_ORDER + 1):
-            u = solve_care(k).u_matrix
+            u = solve_care(k)
             assert np.array_equal(u, u.T)
             assert np.all(np.linalg.eigvalsh(u) > 0.0)
 
     def test_order_zero_is_exactly_one(self):
-        sol = solve_care(0)
-        assert sol.first_column[0] == 1.0
-        assert sol.u_matrix[0, 0] == 1.0
-
-    def test_first_column_equals_u_matrix_column(self):
-        for k in range(MAX_ORDER + 1):
-            sol = solve_care(k)
-            assert np.array_equal(sol.first_column, sol.u_matrix[:, 0])
+        assert solve_care(0).shape == (1, 1)
+        assert solve_care(0)[0, 0] == 1.0
 
     def test_results_are_cached_and_immutable(self):
-        sol = solve_care(2)
-        assert solve_care(2) is sol
+        u = solve_care(2)
+        assert solve_care(2) is u
         with pytest.raises(ValueError):
-            sol.u_matrix[0, 0] = 0.0
+            u[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            u[:, 0][0] = 0.0
 
     def test_rejects_out_of_range_order(self):
         with pytest.raises(ValueError):
@@ -169,7 +163,7 @@ class TestGainSchedule:
                 n = 3000
                 sched = gain_schedule(k, theta, n)
                 lhs = sched.step_gains[k] * n ** ((k + 2) / (2 * k + 3))
-                rhs = solve_care(k).first_column[k] * theta
+                rhs = solve_care(k)[k, 0] * theta
                 assert_allclose(lhs, rhs, rtol=1e-12)
 
     def test_rejects_bad_arguments(self):

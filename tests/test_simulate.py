@@ -332,7 +332,7 @@ class TestHeteroscedasticity:
 class TestDecomposition:
     def test_split_is_exact_by_construction(self):
         path = generate_path(SINU, 500, seed=3)
-        dec = decomposition_diagnostics(SINU, path)
+        dec = decomposition_diagnostics(path)
         swing = 2.0 * path.mu_bar - path.v_bar
         theta = 0.25 * path.delta * swing**2
         assert np.array_equal(dec.theta, theta)
@@ -346,30 +346,25 @@ class TestDecomposition:
         # With mu=0.05, v=0.09, delta=0.001: theta = 2.5e-8 and
         # sigma_sq = 0.0162 + 9e-9.
         path = generate_path(CONST, 1000, seed=3)
-        dec = decomposition_diagnostics(CONST, path)
+        dec = decomposition_diagnostics(path)
         assert_allclose(dec.theta, 2.5e-8, rtol=1e-12)
         assert_allclose(dec.sigma_sq, 0.0162, rtol=1e-5)
 
     def test_shift_bounded_and_non_negative(self):
         path = generate_path(SINU, 500, seed=3)
-        dec = decomposition_diagnostics(SINU, path)
+        dec = decomposition_diagnostics(path)
         bound = 0.25 * path.delta * float(np.max((2.0 * path.mu_bar - path.v_bar) ** 2))
         assert np.all(dec.theta >= 0.0)
         assert np.all(dec.theta <= bound)
 
     def test_noise_moments_on_one_path(self):
         path = generate_path(CONST, 100_000, seed=12345)
-        dec = decomposition_diagnostics(CONST, path)
+        dec = decomposition_diagnostics(path)
         n = dec.eta.size
         se_mean = float(np.std(dec.eta, ddof=1)) / math.sqrt(n)
         assert abs(float(np.mean(dec.eta))) < 3.0 * se_mean
         # sample variance against the model variance, at its own scale
         assert_allclose(float(np.var(dec.eta, ddof=1)), 0.0162, rtol=0.05)
-
-    def test_mismatched_scenario_detected(self):
-        path = generate_path(CONST, 500, seed=3)
-        with pytest.raises(ValueError, match="not generated"):
-            decomposition_diagnostics(SINU, path)
 
 
 class TestScenarioConfig:

@@ -297,6 +297,17 @@ class TestFitGarch:
         assert sum(par.g_coeffs) + sum(par.a_coeffs) < 1.0
         assert report.best_sn == run(xs, par).s_n
 
+    def test_refinements_start_only_from_finite_grid_points(self):
+        # A constant series near 5e199: every grid point overflows except
+        # the two with g1 + g2 just below one, where the fit is exact.  A
+        # refinement started from an all-inf simplex would warn and record
+        # an inf stage.
+        xs = np.full(149, math.log(2.0) ** 2 / 1e-200)
+        report = fit_garch(xs, 2, 2)
+        assert report.best_sn == 0.0
+        assert [s.name for s in report.trace] == ["start1", "start2"]
+        assert all(stage.sn == 0.0 for stage in report.trace)
+
     def test_rejects_unsupported_orders(self):
         with pytest.raises(ValueError):
             fit_garch(noise_series(), p=3, q=1)
