@@ -49,6 +49,9 @@ __all__ = ["PriceSeries", "load_prices", "main"]
 DEFAULT_DELTA = 1.0 / 252.0
 
 _PRICE_HEADERS = ("price", "adjclose", "adj_close", "close")
+# np.loadtxt's fixed cost, about 0.1 ms, is more than the streaming reader
+# takes on a file below about 8 KiB (150 to 250 rows, by the row width)
+_LOADTXT_MIN_BYTES = 8192
 
 
 @dataclass(frozen=True)
@@ -74,19 +77,90 @@ def load_prices(path, delta: float) -> PriceSeries:
     labels (dates) in the first column, which is skipped, and the price
     in a column named price/adjclose/adj_close/close (case-insensitive),
     falling back to the second column.
+
+    NumPy's compiled parser reads a file of 8 KiB or more when
+    _compiled_prices can show from its bytes that the result is the
+    streaming reader's; every other file is read by _read_price_rows,
+    which words every error.  Both give the same array for every file
+    either accepts.
     """
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as handle:
-            prices = _read_price_rows(path, csv.reader(handle))
-    except csv.Error as exc:
-        raise DataError(f"{path}: malformed CSV: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(path, exc) from exc
-    if len(prices) < 2:
-        raise DataError(f"{path}: need at least 2 prices, got {len(prices)}")
-    arr = np.asarray(prices)
+    arr = _compiled_prices(path)
+    if arr is None:
+        try:
+            with open(path, newline="", encoding="utf-8-sig") as handle:
+                prices = _read_price_rows(path, csv.reader(handle))
+        except csv.Error as exc:
+            raise DataError(f"{path}: malformed CSV: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from exc
+        if len(prices) < 2:
+            raise DataError(f"{path}: need at least 2 prices, got {len(prices)}")
+        arr = np.asarray(prices)
     arr.setflags(write=False)
     return PriceSeries(arr, delta)
+
+
+def _compiled_prices(path) -> np.ndarray | None:
+    """The price column as np.loadtxt parses it, or None where the
+    streaming reader must read the file.
+
+    _loadtxt_header passes only files that loadtxt reads into csv's rows.
+    The structured dtype makes loadtxt refuse a row whose width is not the
+    header's.  loadtxt parses each price with the routine float() uses,
+    minus digit underscores and non-ASCII digits, which it refuses; a
+    refusal, or a price that is not finite and positive, falls back.  The
+    file is read again by name: loadtxt parses only a named file in chunks.
+    """
+    header = _loadtxt_header(path)
+    if header is None:
+        return None
+    col = _price_column(header)
+    fields = [(f"c{i}", "f8" if i == col else "S0") for i in range(len(header))]
+    try:
+        table = np.loadtxt(
+            path, fields, delimiter=",", comments=None, skiprows=1,
+            encoding="utf-8-sig", ndmin=1,
+        )
+    except (ValueError, OSError):
+        return None
+    prices = table[f"c{col}"].copy()
+    if not (prices.min() > 0.0 and prices.max() < math.inf):
+        return None
+    return prices
+
+
+def _loadtxt_header(path) -> list[str] | None:
+    """The header cells of a file that loadtxt is to read, or None: a file
+    of _LOADTXT_MIN_BYTES or more whose bytes show that csv splits it into
+    the rows loadtxt reads.
+
+    Such a file holds no quote (csv unquotes, loadtxt does not), no NUL
+    (Python 3.10's csv refuses it) and no line longer than csv's field
+    limit; its first line is a header, and at least two rows follow it.
+    Both readers end a line at LF, CR or CRLF and skip empty lines.
+    """
+    try:
+        if os.path.getsize(path) < _LOADTXT_MIN_BYTES:
+            return None
+        data = Path(path).read_bytes()
+    except OSError:
+        return None
+    if b'"' in data or b"\0" in data:
+        return None
+    buf = np.frombuffer(data, np.uint8)
+    line_end = buf == 10
+    if b"\r" in data:
+        line_end |= buf == 13
+    lengths = np.diff(np.flatnonzero(line_end), prepend=-1, append=buf.size) - 1
+    if lengths.max() > csv.field_size_limit() or np.count_nonzero(lengths[1:]) < 2:
+        return None
+    try:
+        header = data[: lengths[0]].decode("utf-8-sig").split(",")
+    except UnicodeDecodeError:
+        return None
+    if header == [""] or all(_is_number(cell) for cell in header):
+        return None
+    return header
 
 
 def _read_price_rows(path, reader) -> list[float]:
@@ -98,9 +172,7 @@ def _read_price_rows(path, reader) -> list[float]:
         raise DataError(f"{path}: empty file")
     if all(_is_number(cell) for cell in header):
         raise DataError(f"{path}: header row required, got numeric first row")
-    names = [cell.strip().lower() for cell in header]
-    known = [names.index(h) for h in _PRICE_HEADERS if h in names]
-    price_col = known[0] if known else min(1, len(header) - 1)
+    price_col = _price_column(header)
     prices = []
     for row in rows:
         if len(row) != len(header):
@@ -117,6 +189,14 @@ def _read_price_rows(path, reader) -> list[float]:
             raise DataError(f"{path}: line {reader.line_num}: non-positive price {cell}")
         prices.append(value)
     return prices
+
+
+def _price_column(header: list[str]) -> int:
+    """The price column's index: that of the first _PRICE_HEADERS name the
+    header holds, else the second column, else the only one."""
+    names = [cell.strip().lower() for cell in header]
+    known = [names.index(h) for h in _PRICE_HEADERS if h in names]
+    return known[0] if known else min(1, len(header) - 1)
 
 
 def _is_number(text: str) -> bool:

@@ -35,7 +35,8 @@ series-only parts are built once per series.
 
 run() first prepares its series (PreparedSeries): the shape and finite
 checks, n and the warm-up start, the part of a run that does not depend
-on the parameters, all computed when the series is prepared.  It
+on the parameters, all computed when the series is prepared, and the
+list of floats the Python folds iterate, made once on first use.  It
 accepts a series already prepared, so a tuner, which runs one series
 hundreds to thousands of times, prepares it once per fit.  The box run()
 keeps K and the a_j in, |K| < n and max(a) < n/10, has one home,
@@ -224,11 +225,16 @@ def _linear_filter():
     return lfilter
 
 
-def _first_order(
-    v0: float, x_arr: np.ndarray, c_v: float, c: float, g: float
-) -> tuple[np.ndarray, float]:
+def _floats(xs) -> list[float]:
+    """The observations xs (an array or a PreparedSeries) as the Python
+    floats a fold iterates.  A PreparedSeries keeps its list, so the runs
+    of one prepared series convert it once."""
+    return xs.x_list if isinstance(xs, PreparedSeries) else xs.tolist()
+
+
+def _first_order(v0: float, xs, c_v: float, c: float, g: float) -> tuple[np.ndarray, float]:
     """The recursion v' = c_v v + c + g x from v0: the prediction of each
-    x_arr entry, and the final v.
+    observation in xs (an array or a PreparedSeries), and the final v.
 
     For c = +0.0 the compiled kernel runs y[i] = 0 x[i] + z and
     z' = g x[i] + c_v y[i]: the fold's two products and one sum, so the
@@ -238,6 +244,7 @@ def _first_order(
     the fold itself.
     """
     if c == 0.0 and math.copysign(1.0, c) > 0.0:
+        x_arr = xs.x if isinstance(xs, PreparedSeries) else xs
         y, zf = _linear_filter()(
             np.array([0.0, g]), np.array([1.0, -c_v]), x_arr, -1, np.array([v0])
         )
@@ -245,7 +252,7 @@ def _first_order(
         y[0] = v0
         return y, float(zf[0]) + 0.0
     estimates = []
-    v = _fold_first_order(v0, x_arr.tolist(), c_v, c, g, estimates)
+    v = _fold_first_order(v0, _floats(xs), c_v, c, g, estimates)
     return np.array(estimates), v
 
 
@@ -257,12 +264,13 @@ def _level_first_order(schedule, ext) -> tuple[float, float, float]:
     return 1.0 - a1_over_n - g0, a1_over_n * ext.k_level, g0
 
 
-def _fold_adaptive(z, x_arr, schedule, ext) -> tuple[np.ndarray, list[float]]:
-    """The order-k recursion, folded over x_arr from z = [v_hat, d_1, ..., d_k]:
-    the prediction of each x, and the final z."""
+def _fold_adaptive(z, xs, schedule, ext) -> tuple[np.ndarray, list[float]]:
+    """The order-k recursion, folded over xs (an array or a PreparedSeries)
+    from z = [v_hat, d_1, ..., d_k]: the prediction of each x, and the
+    final z."""
     k = len(z) - 1
     if k == 0:
-        estimates, v = _first_order(z[0], x_arr, *_level_first_order(schedule, ext))
+        estimates, v = _first_order(z[0], xs, *_level_first_order(schedule, ext))
         return estimates, [v]
     g, n = schedule.step_gains.tolist(), schedule.n
     a, level = ext.a_coeffs, ext.k_level
@@ -275,12 +283,12 @@ def _fold_adaptive(z, x_arr, schedule, ext) -> tuple[np.ndarray, list[float]]:
         # operations in the same order, without the per-step lists.
         g0, g1, a2n = g[0], g[1], a_over_n[1]
         v, d = z
-        for x in x_arr.tolist():
+        for x in _floats(xs):
             estimates.append(v)
             res = x - v
             v, d = v + d / n + g0 * res, d * damp - a2n * v + level_term + g1 * res
         return np.array(estimates), [v, d]
-    for x in x_arr.tolist():
+    for x in _floats(xs):
         estimates.append(z[0])
         res = x - z[0]
         new = [0.0] * (k + 1)
@@ -297,9 +305,9 @@ def _fold_adaptive(z, x_arr, schedule, ext) -> tuple[np.ndarray, list[float]]:
     return np.array(estimates), z
 
 
-def _fold_garch(est, obs, x_arr, params: GarchParams) -> tuple[np.ndarray, float]:
-    """The GARCH(p, q) recursion, folded over x_arr: the prediction of each
-    x, and the final estimate.
+def _fold_garch(est, obs, xs, params: GarchParams) -> tuple[np.ndarray, float]:
+    """The GARCH(p, q) recursion, folded over xs (an array or a
+    PreparedSeries): the prediction of each x, and the final estimate.
 
     est holds the p prior estimates and obs the q-1 prior observations,
     most recent last; the prediction of x[i] is the latest estimate
@@ -311,7 +319,7 @@ def _fold_garch(est, obs, x_arr, params: GarchParams) -> tuple[np.ndarray, float
     p, q = params.p, params.q
     k_const, g, a = params.k_const, params.g_coeffs, params.a_coeffs
     if p == q == 1:
-        return _first_order(est[-1], x_arr, g[0], k_const, a[0])
+        return _first_order(est[-1], xs, g[0], k_const, a[0])
     if p == q == 2:
         # The general loop below with p = q = 2, unrolled into locals: the
         # same operations in the same order, without the per-step lists.
@@ -319,12 +327,13 @@ def _fold_garch(est, obs, x_arr, params: GarchParams) -> tuple[np.ndarray, float
         e2, e1 = est
         (o1,) = obs
         estimates = []
-        for x in x_arr.tolist():
+        for x in _floats(xs):
             estimates.append(e1)
             e2, e1, o1 = e1, k_const + g1 * e1 + g2 * e2 + a1 * x + a2 * o1, x
         return np.array(estimates), e1
-    est, obs, n = list(est), list(obs), int(x_arr.size)
-    for x in x_arr.tolist():
+    x_list = _floats(xs)
+    est, obs, n = list(est), list(obs), len(x_list)
+    for x in x_list:
         acc = k_const
         for j in range(1, p + 1):
             acc = acc + g[j - 1] * est[-j]
@@ -459,7 +468,7 @@ class PreparedSeries:
     copy of the observations; len() is n.
     """
 
-    __slots__ = ("x", "n", "start")
+    __slots__ = ("x", "n", "start", "_x_list")
 
     def __init__(self, xs: Sequence[float]):
         x_arr = np.array(xs, dtype=float)
@@ -471,6 +480,15 @@ class PreparedSeries:
         x_arr.setflags(write=False)
         self.x, self.n = x_arr, int(x_arr.size)
         self.start = init_state(0, x_arr[: _warmup_count(self.n)]).v_hat
+        self._x_list = None
+
+    @property
+    def x_list(self) -> list[float]:
+        """x.tolist(), the Python floats the folds iterate, made on first
+        use: a run in the compiled kernel reads x alone."""
+        if self._x_list is None:
+            self._x_list = self.x.tolist()
+        return self._x_list
 
     def __len__(self) -> int:
         return self.n
@@ -494,7 +512,7 @@ def run(
         # The first observation seeds the recursion; missing pre-sample
         # estimates and observations are padded with it.
         v0 = float(x_arr[0])
-        estimates, _ = _fold_garch([v0] * params.p, [v0] * (params.q - 1), x_arr, params)
+        estimates, _ = _fold_garch([v0] * params.p, [v0] * (params.q - 1), series, params)
     elif isinstance(params, ExtendedParams):
         k_hi, a_hi = _operating_box(n)
         if max(params.a_coeffs) > a_hi:
@@ -503,7 +521,7 @@ def run(
             raise ValueError("k_level magnitude must stay below n")
         estimates, _ = _fold_adaptive(
             [series.start] + [0.0] * params.k,
-            x_arr,
+            series,
             gain_schedule(params.k, params.theta, n),
             params,
         )

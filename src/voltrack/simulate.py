@@ -407,5 +407,9 @@ def path_csv_text(path: PathResult) -> str:
     shortest round-tripping representation.
     """
     t = np.arange(path.xs.size + 1) * path.delta
-    x, v_bar = [None, *path.xs.tolist()], [None, *path.v_bar.tolist()]
-    return csv_text(("t", "price", "x", "v_bar"), t, path.prices, x, v_bar)
+    header = ("t", "price", "x", "v_bar")
+    # rows 1..n are all ndarray columns, which csv_text writes from tolist()
+    # without a check per cell; row 0 is written on its own, once
+    head = csv_text(header, t[:1], path.prices[:1], [None], [None])
+    body = csv_text(header, t[1:], path.prices[1:], path.xs, path.v_bar)
+    return head + body.partition("\n")[2]

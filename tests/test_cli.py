@@ -18,6 +18,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -93,6 +94,21 @@ class TestLoadPrices:
             csv_path.write_text(path_csv_text(path))
             series = load_prices(csv_path, path.delta)
         assert series.prices.tobytes() == np.asarray(path.prices, dtype=float).tobytes()
+
+    def test_path_csv_is_read_by_the_compiled_parser(self, tmp_path, monkeypatch):
+        # the streaming reader never runs on a simulate path CSV, so guards
+        # that always fell back would fail here rather than go unseen
+        def refuse(path, reader):
+            raise AssertionError("the streaming reader ran")
+
+        monkeypatch.setattr(cli, "_read_price_rows", refuse)
+        path = generate_path(parse_scenario_config(SCENARIO_TEXT), 1000, 4)
+        csv_path = tmp_path / "path.csv"
+        csv_path.write_text(path_csv_text(path))
+        assert csv_path.stat().st_size >= cli._LOADTXT_MIN_BYTES
+        series = load_prices(csv_path, path.delta)
+        assert series.prices.tobytes() == path.prices.tobytes()
+        assert not series.prices.flags.writeable
 
     def test_single_column(self, tmp_path):
         path = write_prices(tmp_path)
@@ -1084,6 +1100,60 @@ class TestFuzzedInputs:
             data.decode()
         except UnicodeDecodeError:
             assert stderr.startswith(f"error: {cfg}: not UTF-8 text: ")
+
+    @settings(max_examples=400)
+    @given(_with_junk(fuzzed_price_csvs()) | st.binary(max_size=64))
+    # extra columns, which loadtxt's usecols would drop
+    @example(b"a,b\n1,2\n3,4,5\n6,7\n")
+    @example(b"a,b\n1,2\n3\n6,7\n")
+    # cells float() accepts and NumPy refuses
+    @example(b"price\n1_0\n2\n")
+    @example("price\n\u0661\u0662\n2\n".encode())
+    @example("price\n\uff11\uff12\n2\n".encode())
+    # cells NumPy reads as infinite
+    @example(b"price\ninfinity\n2\n")
+    @example(b"price\n1e400\n2\n")
+    @example(b"price\n1\n-0\n2\n")
+    # whitespace-only lines, one or two columns wide
+    @example(b"price\n1\n \t \n2\n")
+    @example(b"d,price\n1,2\n   \n3,4\n")
+    # whitespace around a price, ASCII and not
+    @example(b"price\n \x1c2.5\xc2\xa0\n3\n")
+    # blank lines before the header, a blank header after a BOM
+    @example(b"\n\nprice\n1\n2\n")
+    @example(b"\xef\xbb\xbf\nprice\n1\n2\n")
+    # quoted cells, one of them spanning two lines
+    @example(b'price\n"5"\n2\n')
+    @example(b'd,p\n"1,2\n3",4\n5,6\n')
+    # CR-only and CRLF line ends, blank lines among them
+    @example(b"price\r1\r\r2\r")
+    @example(b"d,price\r\n1,2\r\n\r\n3,4\r\r\n")
+    # a byte-order mark, and one more inside the header
+    @example(b"\xef\xbb\xbfprice\n1\n2\n")
+    @example(b"\xef\xbb\xbf\xef\xbb\xbfprice\n1\n2\n")
+    # a NUL label, and a field past csv's field size limit
+    @example(b"d,p\n\x00,1\n,2\n")
+    @example(b"d,p\n" + b"0" * 131072 + b"1,1\n,2\n")
+    # too few rows after the header
+    @example(b"price\n1\n\n")
+    @example(b"price\n\n\n")
+    def test_price_csv_reads_as_the_streaming_reader_reads_it(self, data):
+        # the oracle is the streaming reader: the same prices to the last
+        # bit, or the same error text.  Files of any size take the compiled
+        # route here, so that these short ones test it.
+        def outcome(path):
+            try:
+                return load_prices(str(path), DEFAULT_DELTA).prices.tobytes()
+            except DataError as exc:
+                return str(exc)
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "p.csv")
+            path.write_bytes(data)
+            with mock.patch.object(cli, "_LOADTXT_MIN_BYTES", 0):
+                got = outcome(path)
+            with mock.patch.object(cli, "_compiled_prices", return_value=None):
+                assert got == outcome(path)
 
     @settings(max_examples=400)
     @given(_with_junk(fuzzed_price_csvs()) | st.binary(max_size=64))

@@ -76,8 +76,11 @@ TRACK = ("track", "--scenario", "s.cfg", "--n", "300", "--out", "est.csv", "--fi
 
 def run_command_fresh(tmp_path, argv) -> tuple[int, list[str]]:
     """Exit code of `voltrack argv` run in a fresh interpreter inside
-    tmp_path, and which of HEAVY it left loaded."""
+    tmp_path, and which of HEAVY it left loaded.  tmp_path holds the
+    scenario s.cfg and path.csv, a path simulated from it."""
     (tmp_path / "s.cfg").write_text(SCENARIO)
+    path = voltrack.generate_path(voltrack.parse_scenario_config(SCENARIO), 300, 0)
+    (tmp_path / "path.csv").write_text(voltrack.path_csv_text(path))
     code = f"""
 import json, os, sys
 os.chdir({str(tmp_path)!r})
@@ -94,6 +97,11 @@ COMMANDS = {
     "track-filter2": (*TRACK, "filter2", "--theta", "2.0", "--a", "2.0,0.5", "--level", "0.1"),
     "track-garch22": (
         *TRACK, "garch22", "--level", "0.005", "--g", "0.5,0.3", "--a", "0.1,0.05"
+    ),
+    # a simulated path CSV of about 23 kB, which the compiled price reader reads
+    "track-input": (
+        "track", "--input", "path.csv", "--filter", "filter1", "--theta", "2.0", "--a", "5.0",
+        "--level", "0.1", "--out", "est.csv",
     ),
     "simulate": ("simulate", "--scenario", "s.cfg", "--n", "300", "--out", "path.csv"),
     "convergence": (
