@@ -38,9 +38,9 @@ checks, n and the warm-up start, the part of a run that does not depend
 on the parameters, all computed when the series is prepared, and the
 list of floats the Python folds iterate, made once on first use.  It
 accepts a series already prepared, so a tuner, which runs one series
-hundreds to thousands of times, prepares it once per fit.  The box run()
-keeps K and the a_j in, |K| < n and max(a) < n/10, has one home,
-_operating_box, which the level tuners search.
+hundreds to thousands of times, prepares it once per fit.  run() caps
+the a_j below n/10, a bound without units, in one place, _a_cap, which
+the level tuners search; K is a constant input of the recursion, unbounded.
 """
 
 from __future__ import annotations
@@ -403,9 +403,9 @@ def step_adaptive(
     """Advance the order-k filter by one observation.
 
     Returns the new state and the innovation residual x - v_hat formed
-    before the update.  Operating-range checks on a_coeffs and k_level
-    relative to n are left to run() so degenerate algebraic identities
-    stay expressible at the single-step level.
+    before the update.  The cap on a_coeffs relative to n is left to
+    run() so degenerate algebraic identities stay expressible at the
+    single-step level.
     """
     k = ext.k
     if schedule.k != k or len(state.derivatives) != k:
@@ -504,7 +504,7 @@ def run(
     prepared first (PreparedSeries) unless it already is; the order-k
     filters start from the prepared warm-up start, the mean of the first
     min(20, ceil(n/20)) observations, with zero derivatives, and must
-    keep K and every a_j inside _operating_box(n).
+    keep every a_j at or below _a_cap(n).
     """
     series = xs if isinstance(xs, PreparedSeries) else PreparedSeries(xs)
     x_arr, n = series.x, series.n
@@ -514,11 +514,8 @@ def run(
         v0 = float(x_arr[0])
         estimates, _ = _fold_garch([v0] * params.p, [v0] * (params.q - 1), series, params)
     elif isinstance(params, ExtendedParams):
-        k_hi, a_hi = _operating_box(n)
-        if max(params.a_coeffs) > a_hi:
+        if max(params.a_coeffs) > _a_cap(n):
             raise ValueError("a_coeffs must stay well below n (max coefficient < n/10)")
-        if abs(params.k_level) > k_hi:
-            raise ValueError("k_level magnitude must stay below n")
         estimates, _ = _fold_adaptive(
             [series.start] + [0.0] * params.k,
             series,
@@ -555,8 +552,7 @@ def step_spectral_radius(k: int, theta: float, n: int) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(_step_matrix(k, theta, n)))))
 
 
-def _operating_box(n: int) -> tuple[float, float]:
-    """The largest |K| and the largest a_j that run() accepts for a series
-    of n: one ulp below n and one ulp below n/10, so |K| < n and
-    max(a) < n/10 on every finite value."""
-    return math.nextafter(float(n), 0.0), math.nextafter(n / 10.0, 0.0)
+def _a_cap(n: int) -> float:
+    """The largest a_j that run() accepts for a series of n: one ulp below
+    n/10, so max(a) < n/10 on every finite value."""
+    return math.nextafter(n / 10.0, 0.0)

@@ -20,6 +20,11 @@ objective, records the finite evaluations and builds the report.  A run
 that diverges (non-finite S_n) scores +inf and is not recorded among the
 evaluations, so no search can prefer it to a finite one, on any scale of
 the series.  A tuner that finds no finite S_n raises TuningError.
+Only _relax_pair's S_n tolerance has the series' units: on the series
+times 2^e, short of overflow, tune_filter0 and fit_garch report K times
+2^e, S_n times 4^e and otherwise the same bits; tune_filter1 and
+tune_filter2 may differ in the last bits, through it and the polish's
+geomspace grid for K.
 
 All searches use fixed grids, fixed starts and deterministic
 refinements, so identical inputs produce identical reports.
@@ -41,7 +46,7 @@ from .filters import (
     GarchParams,
     PreparedSeries,
     _GarchSystem,
-    _operating_box,
+    _a_cap,
     run,
 )
 
@@ -209,16 +214,17 @@ def _polish(
 ) -> tuple[list[float], float]:
     """Cyclic coordinate descent with shrinking relative brackets.
 
-    Each pass minimizes one coordinate on [x-h, x+h] with h a fraction
-    of |x| (so coordinates sitting at zero stay put); moves are accepted
-    only when they improve the incumbent.
+    Each pass minimizes one coordinate on [x-h, x+h] to within h/1000,
+    with h a fraction of |x| (a coordinate where that is 0 stays put);
+    moves are accepted only when they improve the incumbent.
     """
     point = list(point)
     for frac in _POLISH_FRACS:
         for j in range(len(point)):
             x = point[j]
             half = frac * abs(x)
-            if half == 0.0:
+            tol = half * 1e-3
+            if not tol > 0.0:
                 continue
             blo, bhi = bounds[j]
             lo, hi = max(x - half, blo), min(x + half, bhi)
@@ -230,9 +236,7 @@ def _polish(
                 trial[j] = val
                 return sn_of(make_params(trial))
 
-            cand, cand_sn = minimize_scalar(
-                objective, lo, hi, max(half * 1e-3, 1e-12)
-            )
+            cand, cand_sn = minimize_scalar(objective, lo, hi, tol)
             if cand_sn < best_sn:
                 point[j] = cand
                 best_sn = cand_sn
@@ -261,15 +265,14 @@ def _tune_level(xs: Sequence[float] | PreparedSeries, k: int) -> TuningReport:
     """Staged search for the level filter of order k, with k+1 coefficients a.
 
     Stages: theta with a = K = 0; K = sample mean of the observations;
-    the relaxation coefficients a with theta and K fixed, inside run()'s
-    operating box, filters._operating_box (k=0: the scalar minimizer;
-    k=1: _relax_pair); coordinate-descent
-    polish of (theta, K, a).  The stage of a is named after its
-    coefficients ("a1", "a1_a2").
+    the relaxation coefficients a with theta and K fixed, up to run()'s
+    cap, filters._a_cap (k=0: the scalar minimizer; k=1: _relax_pair);
+    coordinate-descent polish of (theta, K, a), with K unbounded above.
+    The stage of a is named after its coefficients ("a1", "a1_a2").
     """
     fit = _Fit(xs)
     n, sn_of = fit.series.n, fit.sn
-    k_hi, a_hi = _operating_box(n)
+    a_hi = _a_cap(n)
     names = ["theta", "K", *(f"a{m}" for m in range(1, k + 2))]
 
     def make_params(pt: Sequence[float]) -> ExtendedParams:
@@ -279,10 +282,6 @@ def _tune_level(xs: Sequence[float] | PreparedSeries, k: int) -> TuningReport:
     trace = [TuningStage(name="theta", params={"theta": theta}, sn=sn)]
 
     k_level = float(np.mean(fit.series.x))
-    if abs(k_level) > k_hi:
-        raise TuningError(
-            f"level stage: sample mean {k_level!r} must stay below n = {n} in magnitude"
-        )
     sn = sn_of(make_params([theta, k_level, *(0.0,) * (k + 1)]))
     trace.append(TuningStage(name="K", params={"theta": theta, "K": k_level}, sn=sn))
 
@@ -299,7 +298,7 @@ def _tune_level(xs: Sequence[float] | PreparedSeries, k: int) -> TuningReport:
         TuningStage(name="_".join(names[2:]), params=dict(zip(names, point)), sn=sn)
     )
 
-    bounds = [(_THETA_LO, _THETA_HI), (0.0, k_hi), *[(0.0, a_hi)] * (k + 1)]
+    bounds = [(_THETA_LO, _THETA_HI), (0.0, math.inf), *[(0.0, a_hi)] * (k + 1)]
     point, sn = _polish(point, bounds, make_params, sn_of, sn)
     trace.append(TuningStage(name="polish", params=dict(zip(names, point)), sn=sn))
     return fit.report((make_params(point), sn), trace)
@@ -581,7 +580,8 @@ def fit_garch(xs: Sequence[float] | PreparedSeries, p: int = 1, q: int = 1) -> T
             objective,
             np.asarray(grid[i]),
             method="Nelder-Mead",
-            options={"xatol": 1e-6, "fatol": 1e-12, "maxiter": 600, "maxfev": 2000},
+            # S_n carries the series' units squared and g has none: stop on g alone
+            options={"xatol": 1e-6, "fatol": math.inf, "maxiter": 600, "maxfev": 2000},
         )
         # res.x is the best vertex, already evaluated: a lookup, not a run
         params, value = profiled(clipped(res.x))

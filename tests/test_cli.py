@@ -688,6 +688,17 @@ class TestTrack:
         assert out.exists()
         capsys.readouterr()
 
+    def test_level_of_n_or_more(self, tmp_path, capsys):
+        # K is a volatility level, with the units of the series: no bound
+        # compares it with the 59 observations
+        path = write_prices(tmp_path)
+        out = tmp_path / "est.csv"
+        argv = ["track", "--input", path, "--filter", "filter1", "--theta", "1", "--a", "1"]
+        for level in ("59", "1e6"):
+            assert main([*argv, "--level", level, "--out", str(out)]) == 0
+            assert capsys.readouterr().out.startswith("s_n = ")
+            assert len(out.read_text().splitlines()) == 1 + 59
+
 
 class TestTune:
     def test_filter1_report_json(self, tmp_path, capsys):
@@ -770,6 +781,22 @@ class TestTune:
         assert captured.out == ""
         assert captured.err == "error: no theta in [0.01, 1000.0] gives a finite S_n\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["filter1", "filter2"])
+    def test_level_filters_on_a_mean_of_n_or_more(self, tmp_path, capsys, kind):
+        # delta = 1e-6 puts the mean of X near 140, above n = 59; the level
+        # stage starts K there and the fit reports a real run
+        path = write_prices(tmp_path)
+        xs = compute_heteroscedasticity(load_prices(path, 1e-6).prices, 1e-6)
+        assert float(np.mean(xs)) >= xs.size == 59
+        out = tmp_path / "report.json"
+        code = main(["tune", "--input", path, "--delta", "1e-6", "--filter", kind,
+                     "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("best_sn = ")
+        doc = json.loads(out.read_text())
+        assert doc["trace"][1]["params"]["K"] == float(np.mean(xs))
+        assert doc["best_sn"] == min(e["sn"] for e in doc["evaluations"])
 
     def test_garch_report_json(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path)

@@ -2,10 +2,12 @@
 
 Oracles: hand-computed single-step arithmetic, independent re-rolled
 recursions compared bit for bit, exact fixed points on constant input,
-externally recomputed mean squared residuals, and run-versus-step
-properties over randomly drawn parameters.
+externally recomputed mean squared residuals, run-versus-step
+properties over randomly drawn parameters, and runs on the series and K
+times a power of two, which scale by that factor exactly.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -525,12 +527,6 @@ class TestRunAdaptive:
         )
         run(xs, ok)
 
-    def test_rejects_level_comparable_to_length(self):
-        xs = noisy_series(800)
-        ext = ExtendedParams(k=0, theta=1.0, a_coeffs=(1.0,), k_level=800.0)
-        with pytest.raises(ValueError):
-            run(xs, ext)
-
     def test_rejects_unknown_parameter_type(self):
         with pytest.raises(ValueError):
             run(noisy_series(100), object())
@@ -919,8 +915,8 @@ class TestPreparedSeries:
 
 
 class TestOperatingBox:
-    """run() keeps |K| < n and max(a) < n/10: one ulp inside runs, the
-    edge itself is refused."""
+    """run() keeps max(a) < n/10: one ulp inside runs, the edge itself is
+    refused.  K has no bound (TestUnits)."""
 
     @pytest.mark.parametrize("n", [2, 125, 4000])
     @pytest.mark.parametrize("k", [0, 1])
@@ -938,9 +934,59 @@ class TestOperatingBox:
         zeros = (0.0,) * k
         with pytest.raises(ValueError, match=r"max coefficient < n/10\)$"):
             run(xs, ExtendedParams(k, 1.0, (n / 10, *zeros)))
-        for level in (float(n), -float(n)):
-            with pytest.raises(ValueError, match="^k_level magnitude must stay below n$"):
-                run(xs, ExtendedParams(k, 1.0, k_level=level))
+
+
+@st.composite
+def scaled_run_cases(draw):
+    """A case of extended_cases, or its series with GARCH(p, q) (p, q <= 3)
+    in place of its parameters; a level K of 0 or in [n/1000, 4n]; and an
+    exponent e in [-60, 60].  Every coefficient is 0 or above 1e-7, and
+    every recursion is fed by x or K, so on the series times 2^e no value
+    comes near the subnormals."""
+    xs, par = draw(extended_cases())
+    n = xs.size
+    level = draw(st.just(0.0) | st.floats(1e-3 * n, 4.0 * n))
+    if draw(st.booleans()):
+        p, q = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        weights = draw(
+            st.lists(st.just(0.0) | st.floats(1e-3, 1.0), min_size=p + q, max_size=p + q)
+        )
+        scale = draw(st.floats(1e-3, 1.0)) / sum(weights) if sum(weights) > 0.0 else 0.0
+        coeffs = [w * scale for w in weights]
+        # fed by neither x nor K, the estimates would decay into the subnormals
+        assume(level > 0.0 or any(coeffs[p:]))
+        par = GarchParams(p, q, level, tuple(coeffs[:p]), tuple(coeffs[p:]))
+    else:
+        par = dataclasses.replace(par, k_level=level)
+    return xs, par, draw(st.integers(-60, 60))
+
+
+def scaled_level(par: ExtendedParams | GarchParams, c: float):
+    """par with its constant K times c."""
+    if isinstance(par, GarchParams):
+        return dataclasses.replace(par, k_const=par.k_const * c)
+    return dataclasses.replace(par, k_level=par.k_level * c)
+
+
+class TestUnits:
+    """Every recursion is linear in the series and K, so scaling both by a
+    power of two scales the estimates by it and S_n by its square, exactly,
+    for a level K of any size."""
+
+    @settings(max_examples=60)
+    @given(scaled_run_cases())
+    # K at n and past it
+    @example((noisy_series(200, seed=5), ExtendedParams(0, 1.0, (1.0,), 200.0), 11))
+    @example((noisy_series(200, seed=5), ExtendedParams(1, 0.8, (2.0, 1.0), 800.0), -30))
+    @example((noisy_series(200, seed=5), GarchParams(2, 2, 800.0, (0.5, 0.2), (0.1, 0.1)), 60))
+    def test_scaling_by_a_power_of_two_is_exact(self, case):
+        xs, par, e = case
+        c = math.ldexp(1.0, e)
+        base = run(xs, par)
+        scaled = run(xs * c, scaled_level(par, c))
+        assert scaled.estimates.tobytes() == (base.estimates * c).tobytes()
+        assert scaled.residuals.tobytes() == (base.residuals * c).tobytes()
+        assert scaled.s_n.hex() == (base.s_n * c * c).hex()
 
 
 def reference_garch_basis(x_arr, g_coeffs, q) -> np.ndarray:

@@ -3,19 +3,23 @@
 Oracles: the closed-form first-column table for small orders, the
 Butterworth product for every order, scipy's
 general-purpose continuous Riccati solver on the equivalent standard-form
-problem, a hand-written residual evaluation, and explicit quadratic /
-polynomial-division root computations.
+problem, a hand-written residual evaluation, explicit quadratic /
+polynomial-division root computations, and long zero-input runs of the
+filter, which decay exactly when the step's spectral radius is below 1.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import solve_continuous_are
 
 from voltrack import (
     MAX_ORDER,
+    ExtendedParams,
     SolverError,
     gain_schedule,
     solve_care,
@@ -23,7 +27,7 @@ from voltrack import (
     step_spectral_radius,
 )
 from voltrack import gains
-from voltrack.filters import _step_matrix
+from voltrack.filters import _fold_adaptive, _step_matrix
 
 # Closed forms for the first column of U, orders 0..4.
 CLOSED_FORMS = {
@@ -289,6 +293,33 @@ class TestStepSpectralRadius:
                 radius = step_spectral_radius(k, theta, n)
                 assert (log_growth > 0.0) == (radius >= 1.0), (k, theta)
                 assert_allclose(log_growth / 2000, math.log(radius), atol=0.01)
+
+    @settings(max_examples=100)
+    @given(
+        st.integers(0, 3),
+        st.floats(-1.0, 5.0).map(lambda u: 10.0**u),
+        st.integers(2, 1000),
+    )
+    @example(0, 49.0, 125)
+    @example(0, 51.0, 125)
+    def test_radius_below_one_iff_the_zero_input_fold_decays(self, k, theta, n):
+        # The fold run() uses, on zero observations, from each unit state:
+        # about 40 / |1 - r| steps shrink r^steps to e^-40 or grow it to
+        # e^40, far past any transient of the step matrix.
+        radius = step_spectral_radius(k, theta, n)
+        assume(abs(1.0 - radius) >= 0.01)
+        schedule, pure = gain_schedule(k, theta, n), ExtendedParams(k, theta)
+        zeros = np.zeros(math.ceil(40.0 / abs(1.0 - radius)))
+        final = [
+            max(abs(v) for v in _fold_adaptive(unit, zeros, schedule, pure)[1])
+            for unit in np.eye(k + 1).tolist()
+        ]
+        if radius < 1.0:
+            assert max(final) < 1.0
+        else:
+            assert max(final) > 1.0
+        if k == 0:
+            assert (radius < 1.0) == (theta < 2.0 * n ** (2.0 / 3.0))
 
     def test_rejects_what_gain_schedule_rejects(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ any error, so the lists must be disjoint.
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import voltrack
+from voltrack import ioutil
 
 MODULES = [
     importlib.import_module(f"voltrack.{name}")
@@ -37,6 +39,20 @@ def test_package_reexports_every_module_list():
     for module in MODULES:
         for name in module.__all__:
             assert getattr(voltrack, name) is getattr(module, name)
+
+
+def readme_rows() -> dict[str, str]:
+    """README's library table: module name -> the text of its row."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(voltrack\.\w+)` +\|(.*)\|$", readme, flags=re.M)
+    return dict(rows)
+
+
+@pytest.mark.parametrize("module", [*MODULES, ioutil], ids=lambda m: m.__name__)
+def test_readme_table_names_every_public_name(module):
+    row = readme_rows()[module.__name__]
+    missing = [n for n in module.__all__ if not re.search(rf"`{n}(\W|$)", row)]
+    assert not missing, f"README's {module.__name__} row omits {missing}"
 
 
 def run_fresh(code: str) -> str:
