@@ -2,7 +2,7 @@
 
 Solves the constrained Riccati problem for the small orders, prints the
 first column of each solution U (the gain numerators), turns them into
-per-step gain schedules for a concrete sample size, and certifies the
+the per-step gains for a concrete sample size, and certifies the
 characteristic-polynomial roots that make the filters stable.
 """
 
@@ -23,8 +23,7 @@ print("Gain schedules for n=4000 at a few adaptation levels")
 print("-" * 60)
 for theta in (0.1, 1.0, 10.0):
     for k in (0, 1):
-        sched = gain_schedule(k, theta, 4000)
-        gains = ", ".join(f"{g:.3e}" for g in sched.step_gains)
+        gains = ", ".join(f"{g:.3e}" for g in gain_schedule(k, theta, 4000))
         print(f"theta={theta:<5} k={k}: [{gains}]")
 
 print()

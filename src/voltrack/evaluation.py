@@ -239,11 +239,11 @@ def ordering_agreement(
     burn = burn_in_index(n, k)
     # built first, so a bad theta is refused as ExtendedParams words it
     grid_params = [ExtendedParams(k, theta) for theta in grid]
-    for theta in grid:
-        radius = step_spectral_radius(k, theta, n)
+    for params in grid_params:
+        radius = step_spectral_radius(params, n)
         if radius >= 1.0:
             raise DataError(
-                f"the order-{k} filter diverges at theta = {theta!r} for n = {n}: "
+                f"the order-{k} filter diverges at theta = {params.theta!r} for n = {n}: "
                 f"its one-step matrix has spectral radius {radius:.3g} (stable below 1)"
             )
     paths = list(sample_paths(scenario, n, range(base_seed, base_seed + seeds)))

@@ -13,8 +13,9 @@ observations strictly before i):
 
 Each family's recursion is written once, as a private fold that takes an
 array of observations and returns the one-step predictions and the final
-state: _fold_adaptive for the order-k filters, _fold_garch for GARCH.
-run() folds it over the whole series, step_* over one observation and
+state: _fold_adaptive for the order-k filters, which computes its own
+gains from the params and n, and _fold_garch for GARCH.  run() folds it
+over the whole series, step_* over one observation and
 step_spectral_radius over observation 0 from each unit state, so run
 equals the composition of steps, and the stability radius belongs to the
 recursion run() folds, by construction.  Residuals and S_n are formed
@@ -57,7 +58,7 @@ import numpy as np
 import scipy
 
 from .errors import DataError
-from .gains import MAX_ORDER, GainSchedule, gain_schedule
+from .gains import MAX_ORDER, gain_schedule
 
 __all__ = [
     "FilterState",
@@ -256,23 +257,23 @@ def _first_order(v0: float, xs, c_v: float, c: float, g: float) -> tuple[np.ndar
     return np.array(estimates), v
 
 
-def _level_first_order(schedule, ext) -> tuple[float, float, float]:
-    """(c_v, c, g) of the k=0 level filter as a first-order recursion:
-    (1 - a_1/n) v + (a_1/n) K + g_0 (x - v) in coefficient form.  The
-    GARCH(1,1) twin has K' = (a_1/n) K, g_1 = c_v and a_1 = g_0."""
-    g0, a1_over_n = float(schedule.step_gains[0]), ext.a_coeffs[0] / schedule.n
+def _level_first_order(ext, n) -> tuple[float, float, float]:
+    """(c_v, c, g) of the k=0 level filter as a first-order recursion for
+    a run of n: (1 - a_1/n) v + (a_1/n) K + g_0 (x - v) in coefficient
+    form.  The GARCH(1,1) twin has K' = (a_1/n) K, g_1 = c_v and a_1 = g_0."""
+    g0, a1_over_n = float(gain_schedule(0, ext.theta, n)[0]), ext.a_coeffs[0] / n
     return 1.0 - a1_over_n - g0, a1_over_n * ext.k_level, g0
 
 
-def _fold_adaptive(z, xs, schedule, ext) -> tuple[np.ndarray, list[float]]:
-    """The order-k recursion, folded over xs (an array or a PreparedSeries)
-    from z = [v_hat, d_1, ..., d_k]: the prediction of each x, and the
-    final z."""
+def _fold_adaptive(z, xs, ext, n) -> tuple[np.ndarray, list[float]]:
+    """The order-k recursion of a run of n, gains included, folded over xs
+    (an array or a PreparedSeries) from z = [v_hat, d_1, ..., d_k]: the
+    prediction of each x, and the final z."""
     k = len(z) - 1
     if k == 0:
-        estimates, v = _first_order(z[0], xs, *_level_first_order(schedule, ext))
+        estimates, v = _first_order(z[0], xs, *_level_first_order(ext, n))
         return estimates, [v]
-    g, n = schedule.step_gains.tolist(), schedule.n
+    g = gain_schedule(k, ext.theta, n).tolist()
     a, level = ext.a_coeffs, ext.k_level
     damp = 1.0 - a[0] / n
     a_over_n = [c / n for c in a]
@@ -397,25 +398,22 @@ class _GarchSystem:
 def step_adaptive(
     state: FilterState,
     x: float,
-    schedule: GainSchedule,
     ext: ExtendedParams,
+    n: int,
 ) -> tuple[FilterState, float]:
-    """Advance the order-k filter by one observation.
+    """Advance the order-k filter of a run of n by one observation.
 
     Returns the new state and the innovation residual x - v_hat formed
-    before the update.  The cap on a_coeffs relative to n is left to
-    run() so degenerate algebraic identities stay expressible at the
-    single-step level.
+    before the update, with run()'s gains for n.  The cap on a_coeffs
+    relative to n is left to run() so degenerate algebraic identities stay
+    expressible at the single-step level.
     """
-    k = ext.k
-    if schedule.k != k or len(state.derivatives) != k:
-        raise ValueError("smoothness order mismatch between state, schedule and params")
-    if schedule.theta != ext.theta:
-        raise ValueError(f"schedule theta {schedule.theta} differs from theta {ext.theta}")
+    if len(state.derivatives) != ext.k:
+        raise ValueError("smoothness order mismatch between state and params")
     if not math.isfinite(x):
         raise DataError(f"non-finite observation {x!r}")
     _, z = _fold_adaptive(
-        [state.v_hat, *state.derivatives], np.array([x], dtype=float), schedule, ext
+        [state.v_hat, *state.derivatives], np.array([x], dtype=float), ext, n
     )
     return FilterState(z[0], tuple(z[1:])), x - state.v_hat
 
@@ -516,12 +514,7 @@ def run(
     elif isinstance(params, ExtendedParams):
         if max(params.a_coeffs) > _a_cap(n):
             raise ValueError("a_coeffs must stay well below n (max coefficient < n/10)")
-        estimates, _ = _fold_adaptive(
-            [series.start] + [0.0] * params.k,
-            series,
-            gain_schedule(params.k, params.theta, n),
-            params,
-        )
+        estimates, _ = _fold_adaptive([series.start] + [0.0] * params.k, series, params, n)
     else:
         raise ValueError(f"unsupported parameter type {type(params).__name__}")
     residuals = x_arr - estimates
@@ -530,26 +523,27 @@ def run(
     return TrackResult(estimates=estimates, residuals=residuals, s_n=s_n)
 
 
-def _step_matrix(k: int, theta: float, n: int) -> np.ndarray:
-    """The pure order-k filter's one-step matrix for a run of n: column j
-    is _fold_adaptive's step from the unit state e_j on observation 0."""
-    schedule = gain_schedule(k, theta, n)
-    pure, zero = ExtendedParams(k, theta), np.zeros(1)
-    columns = [_fold_adaptive(e, zero, schedule, pure)[1] for e in np.eye(k + 1).tolist()]
+def _step_matrix(ext: ExtendedParams, n: int) -> np.ndarray:
+    """The order-k filter's one-step matrix for a run of n: column j is
+    _fold_adaptive's step from the unit state e_j on observation 0.  K
+    enters the step only as a constant input, so the folds leave it at 0."""
+    linear, zero = ExtendedParams(ext.k, ext.theta, ext.a_coeffs), np.zeros(1)
+    columns = [_fold_adaptive(e, zero, linear, n)[1] for e in np.eye(ext.k + 1).tolist()]
     return np.array(columns).T
 
 
-def step_spectral_radius(k: int, theta: float, n: int) -> float:
-    """Spectral radius of the pure order-k filter's one-step matrix.
+def step_spectral_radius(ext: ExtendedParams, n: int) -> float:
+    """Spectral radius of the order-k filter's one-step matrix for a run of n.
 
-    A step maps the state z = [v, d_1, ..., d_k] to (I + N/n - g e_0') z
-    plus the gains times the observation, with N the upper shift matrix
-    and g the gain_schedule gains.  The recursion is stable for a run of
-    n only when this radius is below 1.  Unlike stability_report, which
-    certifies the continuous-time limit for every theta, this bounds
-    theta: for k = 0 the condition is theta < 2 n^(2/3).
+    A step maps the state z = [v, d_1, ..., d_k] to (I + N/n - g e_0') z,
+    less a_1/n d_k + ... + a_{k+1}/n v in its last entry, plus the constant
+    and observation inputs; N is the upper shift matrix and g the
+    gain_schedule gains.  The recursion is stable for a run of n only when
+    this radius is below 1.  Unlike stability_report, which certifies the
+    continuous-time limit for every theta, this bounds theta: for k = 0
+    the condition is |1 - a_1/n - g_0| < 1, theta < 2 n^(2/3) when a = 0.
     """
-    return float(np.max(np.abs(np.linalg.eigvals(_step_matrix(k, theta, n)))))
+    return float(np.max(np.abs(np.linalg.eigvals(_step_matrix(ext, n)))))
 
 
 def _a_cap(n: int) -> float:

@@ -12,10 +12,10 @@ where a is the upper shift matrix, A selects the first coordinate and B
 is the last standard basis column.  solve_care returns U itself, cached
 and read-only.  Only its first column U[:, 0] matters downstream, and
 callers read it in place: scaled by powers of the adaptation parameter
-theta and the sample size n it becomes the per-step gain of each filter
-equation, and rescaled by theta alone it gives the coefficients of the
-closed-loop characteristic polynomial whose root locations certify
-stability.
+theta and the sample size n it becomes gain_schedule, the per-step gain
+of each filter equation, and rescaled by theta alone it gives the
+coefficients of the closed-loop characteristic polynomial whose root
+locations certify stability.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .errors import SolverError
 
 __all__ = [
     "MAX_ORDER",
-    "GainSchedule",
     "StabilityReport",
     "solve_care",
     "gain_schedule",
@@ -41,16 +40,6 @@ MAX_ORDER = 8
 
 _RESIDUAL_TOL = 1e-9
 _DISTINCT_RTOL = 1e-8
-
-
-@dataclass(frozen=True)
-class GainSchedule:
-    """Per-step gains for one filter run of length n at adaptation theta."""
-
-    k: int
-    theta: float
-    n: int
-    step_gains: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -160,10 +149,11 @@ def solve_care(k: int) -> np.ndarray:
     return u
 
 
-def gain_schedule(k: int, theta: float, n: int) -> GainSchedule:
+def gain_schedule(k: int, theta: float, n: int) -> np.ndarray:
     """Scale the Riccati first column into per-step gains for a run of n.
 
-    Gain j is U_0j * theta^((j+1)/(k+1)) / n^((2(k+1)-j)/(2k+3)).
+    Returns the k+1 gains, read-only: gain j is
+    U_0j * theta^((j+1)/(k+1)) / n^((2(k+1)-j)/(2k+3)).
     """
     if not (math.isfinite(theta) and theta > 0.0):
         raise ValueError(f"theta must be positive and finite, got {theta}")
@@ -176,7 +166,7 @@ def gain_schedule(k: int, theta: float, n: int) -> GainSchedule:
     for j in range(m):
         gains[j] = u[j, 0] * theta ** ((j + 1) / m) / n ** ((2 * m - j) / denom)
     gains.setflags(write=False)
-    return GainSchedule(k=k, theta=float(theta), n=int(n), step_gains=gains)
+    return gains
 
 
 def stability_report(k: int, theta: float) -> StabilityReport:

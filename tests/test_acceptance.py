@@ -117,10 +117,8 @@ def test_level_filter_forms_reduce_bit_for_bit():
     start = time.monotonic()
     rng = np.random.default_rng(99)
     n = 2000
-    sch0 = gain_schedule(0, 0.8, n)
-    sch1 = gain_schedule(1, 0.8, n)
-    g0 = float(sch0.step_gains[0])
-    g1 = [float(t) for t in sch1.step_gains]
+    g0 = float(gain_schedule(0, 0.8, n)[0])
+    g1 = [float(t) for t in gain_schedule(1, 0.8, n)]
 
     for _ in range(1000):
         v = float(rng.uniform(0.01, 0.5))
@@ -130,7 +128,7 @@ def test_level_filter_forms_reduce_bit_for_bit():
         a1 = float(rng.uniform(0.0, 50.0))
         level = float(rng.uniform(0.0, 0.5))
         ext = ExtendedParams(k=0, theta=0.8, a_coeffs=(a1,), k_level=level)
-        st, _ = step_adaptive(FilterState(v_hat=v), x, sch0, ext)
+        st, _ = step_adaptive(FilterState(v_hat=v), x, ext, n)
         direct = (1.0 - a1 / n - g0) * v
         direct += (a1 / n) * level
         direct += g0 * x
@@ -139,7 +137,7 @@ def test_level_filter_forms_reduce_bit_for_bit():
         # pure order-1 innovation recursion vs the general step
         d = float(rng.uniform(-0.2, 0.2))
         ext1 = ExtendedParams(k=1, theta=0.8, a_coeffs=(0.0, 0.0), k_level=0.0)
-        st1, _ = step_adaptive(FilterState(v_hat=v, derivatives=(d,)), x, sch1, ext1)
+        st1, _ = step_adaptive(FilterState(v_hat=v, derivatives=(d,)), x, ext1, n)
         res = x - v
         new_v = v + d / n + g1[0] * res
         new_d = d * (1.0 - 0.0 / n)
@@ -152,7 +150,7 @@ def test_level_filter_forms_reduce_bit_for_bit():
         # zero-relaxation level filter vs its GARCH(1,1) twin
         extp = ExtendedParams(k=0, theta=0.8, a_coeffs=(0.0,), k_level=0.0)
         twin = GarchParams(p=1, q=1, k_const=0.0, g_coeffs=(1.0 - g0,), a_coeffs=(g0,))
-        st_p, res_p = step_adaptive(FilterState(v_hat=v), x, sch0, extp)
+        st_p, res_p = step_adaptive(FilterState(v_hat=v), x, extp, n)
         est_g, res_g = step_garch(([v], []), x, twin)
         assert st_p.v_hat == est_g
         assert res_p == res_g
@@ -162,7 +160,7 @@ def test_level_filter_forms_reduce_bit_for_bit():
 def _naive_adaptive(xs, ext):
     """Plain re-rolled loop for the order-k recursion, numpy-vector style."""
     n = xs.size
-    gains = np.asarray(gain_schedule(ext.k, ext.theta, n).step_gains)
+    gains = np.asarray(gain_schedule(ext.k, ext.theta, n))
     a = np.asarray(ext.a_coeffs)
     state = np.zeros(ext.k + 1)
     state[0] = float(np.mean(xs[: _warmup_count(n)]))

@@ -196,12 +196,11 @@ class TestStepAdaptive:
     def test_single_step_arithmetic(self):
         # k=0, theta=1, n=1000: gain is 1/1000^(2/3), pure filter moves
         # one hundredth of the residual: 0.1 + 0.01 * 0.1 = 0.101.
-        sch = gain_schedule(0, 1.0, 1000)
         ext = ExtendedParams(k=0, theta=1.0, a_coeffs=(0.0,), k_level=0.0)
-        st, res = step_adaptive(FilterState(v_hat=0.1), 0.2, sch, ext)
+        st, res = step_adaptive(FilterState(v_hat=0.1), 0.2, ext, 1000)
         assert res == 0.2 - 0.1
         assert_allclose(st.v_hat, 0.101, rtol=1e-12)
-        g0 = float(sch.step_gains[0])
+        g0 = float(gain_schedule(0, 1.0, 1000)[0])
         expected = (1.0 - 0.0 / 1000 - g0) * 0.1
         expected += (0.0 / 1000) * 0.0
         expected += g0 * 0.2
@@ -211,43 +210,42 @@ class TestStepAdaptive:
         # With a1 = n the level term replaces the estimate outright, so
         # K = x = v_hat is a one-step fixed point.
         n = 1000
-        sch = gain_schedule(0, 1.0, n)
         for v in (0.09, 0.125, 0.0734):
             ext = ExtendedParams(k=0, theta=1.0, a_coeffs=(float(n),), k_level=v)
-            st, res = step_adaptive(FilterState(v_hat=v), v, sch, ext)
+            st, res = step_adaptive(FilterState(v_hat=v), v, ext, n)
             assert st.v_hat == v
             assert res == 0.0
 
     def test_order_mismatch_rejected(self):
-        sch = gain_schedule(0, 1.0, 1000)
-        ext = ExtendedParams(k=1, theta=1.0, a_coeffs=(0.0, 0.0), k_level=0.0)
-        with pytest.raises(ValueError):
-            step_adaptive(FilterState(v_hat=0.1, derivatives=(0.0,)), 0.2, sch, ext)
-
-    def test_theta_mismatch_rejected(self):
-        # the gains come from the schedule, so a schedule built for another
-        # theta would silently override ext.theta
-        ext = ExtendedParams(k=0, theta=0.8, a_coeffs=(0.0,), k_level=0.0)
-        with pytest.raises(ValueError, match="theta"):
-            step_adaptive(FilterState(v_hat=0.1), 0.2, gain_schedule(0, 50.0, 1000), ext)
+        # a state with one derivative fewer, or one more, than ext.k
+        with pytest.raises(ValueError, match="mismatch"):
+            step_adaptive(FilterState(v_hat=0.1), 0.2, ExtendedParams(1, 1.0), 1000)
+        with pytest.raises(ValueError, match="mismatch"):
+            step_adaptive(
+                FilterState(v_hat=0.1, derivatives=(0.0,)), 0.2, ExtendedParams(0, 1.0), 1000
+            )
 
     def test_non_finite_observation_rejected(self):
-        sch = gain_schedule(0, 1.0, 1000)
         ext = ExtendedParams(k=0, theta=1.0, a_coeffs=(0.0,), k_level=0.0)
         with pytest.raises(DataError):
-            step_adaptive(FilterState(v_hat=0.1), math.inf, sch, ext)
+            step_adaptive(FilterState(v_hat=0.1), math.inf, ext, 1000)
+
+    def test_sample_size_below_two_rejected(self):
+        for k in (0, 1):
+            state = FilterState(v_hat=0.1, derivatives=(0.0,) * k)
+            with pytest.raises(ValueError, match="sample size"):
+                step_adaptive(state, 0.2, ExtendedParams(k, 1.0), n=1)
 
     def test_first_order_recursion_matches_hand_loop(self):
         # Pure k=1 filter re-rolled by hand with the same float ordering.
         xs = noisy_series(600)
         n = xs.size
-        sch = gain_schedule(1, 0.8, n)
-        g = [float(t) for t in sch.step_gains]
+        g = [float(t) for t in gain_schedule(1, 0.8, n)]
         ext = ExtendedParams(k=1, theta=0.8, a_coeffs=(0.0, 0.0), k_level=0.0)
         v, d = 0.11, 0.0
         for x in xs:
             st, res = step_adaptive(
-                FilterState(v_hat=v, derivatives=(d,)), float(x), sch, ext
+                FilterState(v_hat=v, derivatives=(d,)), float(x), ext, n
             )
             resid = float(x) - v
             new_v = v + d / n + g[0] * resid
@@ -264,7 +262,7 @@ class TestStepAdaptive:
 def order_k_reference(xs, ext: ExtendedParams) -> tuple[np.ndarray, np.ndarray]:
     """run() of order-k parameters, transcribed from the general update."""
     n, k = xs.size, ext.k
-    g = [float(t) for t in gain_schedule(k, ext.theta, n).step_gains]
+    g = [float(t) for t in gain_schedule(k, ext.theta, n)]
     a_over_n = [c / n for c in ext.a_coeffs]
     damp = 1.0 - ext.a_coeffs[0] / n
     level_term = a_over_n[k] * ext.k_level
@@ -327,7 +325,7 @@ def first_order_cases(draw):
         a1 = draw(st.just(0.0) | st.floats(0.0, n / 10, exclude_max=True))
         level = draw(st.sampled_from([0.0, -0.0]))
         ext = ExtendedParams(k=0, theta=theta, a_coeffs=(a1,), k_level=level)
-        coeffs = _level_first_order(gain_schedule(0, theta, n), ext)
+        coeffs = _level_first_order(ext, n)
     else:
         g1, a1 = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
         coeffs = (g1, 0.0, a1 * (1.0 - g1))
@@ -345,7 +343,7 @@ class TestCompiledFirstOrder:
         (
             0.09,
             noisy_series(4000),
-            *_level_first_order(gain_schedule(0, 1000.0, 4000), ExtendedParams(0, 1000.0, (0.0,))),
+            *_level_first_order(ExtendedParams(0, 1000.0, (0.0,)), 4000),
         )
     )
     def test_matches_the_python_fold_bit_for_bit(self, case):
@@ -441,13 +439,12 @@ class TestRunAdaptive:
         n = xs.size
         ext = ExtendedParams(k=k, theta=0.8, a_coeffs=a_coeffs, k_level=k_level)
         result = run(xs, ext)
-        sch = gain_schedule(k, ext.theta, n)
         st = init_state(k, xs[: _warmup_count(n)])
         est = np.empty(n)
         res = np.empty(n)
         for i, x in enumerate(xs):
             est[i] = st.v_hat
-            st, res[i] = step_adaptive(st, float(x), sch, ext)
+            st, res[i] = step_adaptive(st, float(x), ext, n)
         assert np.array_equal(est, result.estimates)
         assert np.array_equal(res, result.residuals)
 
@@ -583,13 +580,12 @@ class TestGarchTwin:
         # a1=g.  Iterating both from the same state must agree bit for bit.
         xs = noisy_series(1000)
         n = xs.size
-        sch = gain_schedule(0, 0.8, n)
-        g0 = float(sch.step_gains[0])
+        g0 = float(gain_schedule(0, 0.8, n)[0])
         ext = ExtendedParams(k=0, theta=0.8, a_coeffs=(0.0,), k_level=0.0)
         twin = GarchParams(p=1, q=1, k_const=0.0, g_coeffs=(1.0 - g0,), a_coeffs=(g0,))
         v = 0.11
         for x in xs:
-            st, res_a = step_adaptive(FilterState(v_hat=v), float(x), sch, ext)
+            st, res_a = step_adaptive(FilterState(v_hat=v), float(x), ext, n)
             est_g, res_g = step_garch(([v], []), float(x), twin)
             assert st.v_hat == est_g
             assert res_a == res_g
@@ -611,8 +607,7 @@ class TestGarchTwin:
         # (a_1/n) K, g_1 = 1 - a_1/n - g_0 and reaction coefficient g_0, also
         # on negative observations.
         a1 = a_frac * n
-        sch = gain_schedule(0, theta, n)
-        g0 = float(sch.step_gains[0])
+        g0 = float(gain_schedule(0, theta, n)[0])
         c_v = 1.0 - a1 / n - g0
         assume(c_v >= 0.0)
         ext = ExtendedParams(k=0, theta=theta, a_coeffs=(a1,), k_level=level)
@@ -620,7 +615,7 @@ class TestGarchTwin:
             p=1, q=1, k_const=a1 / n * level, g_coeffs=(c_v,), a_coeffs=(g0,)
         )
         for x in xs:
-            st_a, res_a = step_adaptive(FilterState(v_hat=v), x, sch, ext)
+            st_a, res_a = step_adaptive(FilterState(v_hat=v), x, ext, n)
             est_g, res_g = step_garch(([v], []), x, twin)
             assert st_a.v_hat == est_g
             assert res_a == res_g
@@ -648,21 +643,23 @@ def extended_cases(draw):
     return noisy_series(n, seed=draw(st.integers(0, 2**32 - 1))), ext
 
 
+def garch_from_weights(p, q, k_const, weights, total) -> GarchParams:
+    """GARCH(p, q) whose g then a coefficients are the weights rescaled to
+    sum to total, or all zero when the weights are.  Each weight is divided
+    by their sum first, so subnormal weights cannot overflow a scale."""
+    s = sum(weights)
+    coeffs = [total * (w / s) for w in weights] if s > 0.0 else [0.0] * len(weights)
+    return GarchParams(p, q, k_const, tuple(coeffs[:p]), tuple(coeffs[p:]))
+
+
 @st.composite
 def garch_cases(draw):
     """A series and GARCH(p, q) coefficients, non-negative with sum <= 1."""
     p, q = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     weights = draw(st.lists(st.floats(0.0, 1.0), min_size=p + q, max_size=p + q))
     total = draw(st.floats(0.0, 1.0))
-    scale = total / sum(weights) if sum(weights) > 0.0 else 0.0
-    coeffs = [w * scale for w in weights]
-    par = GarchParams(
-        p=p,
-        q=q,
-        k_const=draw(st.just(0.0) | st.floats(0.0, 0.01)),
-        g_coeffs=tuple(coeffs[:p]),
-        a_coeffs=tuple(coeffs[p:]),
-    )
+    k_const = draw(st.just(0.0) | st.floats(0.0, 0.01))
+    par = garch_from_weights(p, q, k_const, weights, total)
     n = draw(st.integers(2, 300))
     return noisy_series(n, seed=draw(st.integers(0, 2**32 - 1))), par
 
@@ -680,13 +677,12 @@ class TestRunStepProperties:
         xs, ext = case
         n = xs.size
         result = run(xs, ext)
-        sch = gain_schedule(ext.k, ext.theta, n)
         state = init_state(ext.k, xs[: _warmup_count(n)])
         est = np.empty(n)
         res = np.empty(n)
         for i, x in enumerate(xs):
             est[i] = state.v_hat
-            state, res[i] = step_adaptive(state, float(x), sch, ext)
+            state, res[i] = step_adaptive(state, float(x), ext, n)
         assert np.all(np.isfinite(result.estimates))
         assert np.array_equal(est, result.estimates)
         assert np.array_equal(res, result.residuals)
@@ -699,7 +695,6 @@ class TestRunStepProperties:
         ext = ExtendedParams(k=0, theta=1000.0, a_coeffs=(0.0,))
         with np.errstate(over="ignore", invalid="ignore"):
             result = run(xs, ext)
-        sch = gain_schedule(0, ext.theta, n)
         state = init_state(0, xs[: _warmup_count(n)])
         est, res = [], []
         # a FilterState holds only finite estimates, so the steps stop at the
@@ -707,7 +702,7 @@ class TestRunStepProperties:
         with pytest.raises(ValueError, match="finite"):
             for x in xs.tolist():
                 est.append(state.v_hat)
-                state, r = step_adaptive(state, x, sch, ext)
+                state, r = step_adaptive(state, x, ext, n)
                 res.append(r)
         m = len(est)
         assert 0 < m < n and len(res) == m - 1
@@ -724,6 +719,8 @@ class TestRunStepProperties:
     @example((noisy_series(300, seed=5), GarchParams(1, 1, 0.0, (0.7,), (0.3,))))
     # GARCH(2, 2) has its own unrolled fold
     @example((noisy_series(300, seed=5), _GARCH22))
+    # subnormal weights: total / sum(weights) overflows, and 0.0 * inf is nan
+    @example((noisy_series(300, seed=5), garch_from_weights(1, 1, 0.0, (0.0, 5e-324), 0.5)))
     def test_run_equals_step_garch_composition(self, case):
         xs, par = case
         result = run(xs, par)
@@ -821,15 +818,14 @@ class TestOneFoldForRunAndSteps:
         n = xs.size
         ext = ExtendedParams(k=0, theta=0.8, a_coeffs=(0.0,))
         result = run(xs, ext)
-        sch = gain_schedule(0, ext.theta, n)
         state = init_state(0, xs[: _warmup_count(n)])
         est = []
         for x in xs.tolist():
             est.append(state.v_hat)
-            state, _ = step_adaptive(state, x, sch, ext)
+            state, _ = step_adaptive(state, x, ext, n)
         assert np.array(est).tobytes() == result.estimates.tobytes()
         python_fold = []
-        _fold_first_order(est[0], xs.tolist(), *_level_first_order(sch, ext), python_fold)
+        _fold_first_order(est[0], xs.tolist(), *_level_first_order(ext, n), python_fold)
         assert np.array(python_fold).tobytes() != result.estimates.tobytes()
 
     def test_garch_twin(self):

@@ -140,33 +140,29 @@ class TestSolveCare:
 
 class TestGainSchedule:
     def test_order_zero_gain_is_linear_in_theta(self):
-        sched = gain_schedule(0, 4.0, 1000)
-        assert sched.step_gains.shape == (1,)
-        assert sched.step_gains[0] == 4.0 / 1000 ** (2 / 3)
+        gains = gain_schedule(0, 4.0, 1000)
+        assert gains.shape == (1,)
+        assert gains[0] == 4.0 / 1000 ** (2 / 3)
 
     def test_order_one_leading_gain(self):
         # sqrt(2 theta) / n^{4/5} at theta = 1
         for n in (500, 4000):
-            sched = gain_schedule(1, 1.0, n)
-            assert_allclose(
-                sched.step_gains[0], math.sqrt(2.0) / n**0.8, rtol=1e-14
-            )
+            assert_allclose(gain_schedule(1, 1.0, n)[0], math.sqrt(2.0) / n**0.8, rtol=1e-14)
 
     def test_monotone_in_theta_and_n(self):
         for k in (0, 1, 3):
-            lo_theta = gain_schedule(k, 0.5, 1000).step_gains
-            hi_theta = gain_schedule(k, 2.0, 1000).step_gains
+            lo_theta = gain_schedule(k, 0.5, 1000)
+            hi_theta = gain_schedule(k, 2.0, 1000)
             assert np.all(hi_theta > lo_theta)
-            big_n = gain_schedule(k, 0.5, 4000).step_gains
+            big_n = gain_schedule(k, 0.5, 4000)
             assert np.all(big_n < lo_theta)
 
     def test_last_gain_scale_identity(self):
-        # step_gains[k] * n^{(k+2)/(2k+3)} recovers U_0k * theta
+        # gain k times n^{(k+2)/(2k+3)} recovers U_0k * theta
         for k in range(5):
             for theta in (0.25, 1.0, 7.5):
                 n = 3000
-                sched = gain_schedule(k, theta, n)
-                lhs = sched.step_gains[k] * n ** ((k + 2) / (2 * k + 3))
+                lhs = gain_schedule(k, theta, n)[k] * n ** ((k + 2) / (2 * k + 3))
                 rhs = solve_care(k)[k, 0] * theta
                 assert_allclose(lhs, rhs, rtol=1e-12)
 
@@ -177,6 +173,13 @@ class TestGainSchedule:
             gain_schedule(0, -1.0, 1000)
         with pytest.raises(ValueError):
             gain_schedule(0, 1.0, 1)
+
+    def test_gains_are_read_only(self):
+        for k in (0, 2):
+            gains = gain_schedule(k, 1.0, 1000)
+            assert not gains.flags.writeable
+            with pytest.raises(ValueError):
+                gains[0] = 0.0
 
 
 class TestStabilityReport:
@@ -240,29 +243,53 @@ class TestStabilityReport:
             stability_report(0, 0.0)
 
 
+def pure_radius(k: int, theta: float, n: int) -> float:
+    return step_spectral_radius(ExtendedParams(k, theta), n)
+
+
+@st.composite
+def radius_cases(draw):
+    """An order-k filter, k <= 3, pure or relaxed, and a run length n.
+    Relaxed coefficients are those of prod (x + r_i) with r_i > 0, so
+    they are Hurwitz, as in tests/test_filters.py::extended_cases."""
+    k = draw(st.integers(0, 3))
+    theta = draw(st.floats(-1.0, 5.0).map(lambda u: 10.0**u))
+    if draw(st.booleans()):
+        a_coeffs = ()
+    else:
+        roots = draw(st.lists(st.floats(0.05, 0.5), min_size=k + 1, max_size=k + 1))
+        a_coeffs = tuple(float(c) for c in np.poly([-r for r in roots])[1:])
+    return ExtendedParams(k, theta, a_coeffs), draw(st.integers(2, 1000))
+
+
 class TestStepSpectralRadius:
     def test_order_zero_is_the_level_coefficient(self):
         # v' = (1 - g0) v + g0 x: stable exactly for theta < 2 n^(2/3)
         for n in (125, 1000, 4000):
             for theta in (0.1, 1.0, 30.0, 50.0, 55.0, 1000.0):
-                g0 = float(gain_schedule(0, theta, n).step_gains[0])
-                assert step_spectral_radius(0, theta, n) == abs(1.0 - g0)
-        assert step_spectral_radius(0, 49.99, 125) < 1.0
-        assert step_spectral_radius(0, 50.0, 125) >= 1.0
-        assert_allclose(step_spectral_radius(0, 55.0, 125), 1.2, rtol=1e-12)
-        assert_allclose(step_spectral_radius(0, 30.0, 4000), 0.880944921102385, rtol=1e-12)
+                g0 = float(gain_schedule(0, theta, n)[0])
+                assert pure_radius(0, theta, n) == abs(1.0 - g0)
+        assert pure_radius(0, 49.99, 125) < 1.0
+        assert pure_radius(0, 50.0, 125) >= 1.0
+        assert_allclose(pure_radius(0, 55.0, 125), 1.2, rtol=1e-12)
+        assert_allclose(pure_radius(0, 30.0, 4000), 0.880944921102385, rtol=1e-12)
 
-    def test_fold_built_matrix_is_the_pure_filter_step(self):
+    def test_fold_built_matrix_is_the_filter_step(self):
         # column j is the fold's step from e_j on observation 0; the
-        # reference is I + N/n - g e_0' written out
+        # reference is I + N/n, less a_1/n d_k + ... + a_{k+1}/n v in the
+        # last row, less g e_0', written out.  K is a constant input of
+        # the step, so it does not enter the matrix.
         for k in range(MAX_ORDER + 1):
-            for n in (2, 125, 4000, 100_000):
-                for theta in (0.01, 1.0, 55.0, 1000.0):
-                    g = gain_schedule(k, theta, n).step_gains
-                    step = np.eye(k + 1) + np.eye(k + 1, k=1) / n
-                    step[:, 0] -= g
-                    matrix = _step_matrix(k, theta, n)
-                    assert matrix.tobytes() == step.tobytes(), (k, n, theta)
+            relaxed = tuple(float(math.comb(k + 1, j + 1)) for j in range(k + 1))
+            for a_coeffs in ((0.0,) * (k + 1), relaxed):
+                for n in (2, 125, 4000, 100_000):
+                    for theta in (0.01, 1.0, 55.0, 1000.0):
+                        step = np.eye(k + 1) + np.eye(k + 1, k=1) / n
+                        step[k, ::-1] -= np.array(a_coeffs) / n
+                        step[:, 0] -= gain_schedule(k, theta, n)
+                        ext = ExtendedParams(k, theta, a_coeffs, k_level=0.09)
+                        matrix = _step_matrix(ext, n)
+                        assert matrix.tobytes() == step.tobytes(), (k, a_coeffs, n, theta)
 
     def test_against_the_characteristic_polynomial(self):
         # The eigenvalues are 1 + s for the roots s of
@@ -270,11 +297,11 @@ class TestStepSpectralRadius:
         for k in range(MAX_ORDER + 1):
             for n in (50, 4000):
                 for theta in (0.01, 1.0, 100.0, 1000.0):
-                    g = gain_schedule(k, theta, n).step_gains
+                    g = gain_schedule(k, theta, n)
                     poly = [1.0, *(g[j] / n**j for j in range(k + 1))]
                     expected = float(np.max(np.abs(1.0 + np.roots(poly))))
                     assert_allclose(
-                        step_spectral_radius(k, theta, n), expected, rtol=1e-8
+                        pure_radius(k, theta, n), expected, rtol=1e-8
                     ), (k, n, theta)
 
     def test_unstable_radius_means_a_growing_run(self):
@@ -284,48 +311,47 @@ class TestStepSpectralRadius:
         cases = ((0, 125, (1.0, 55.0)), (1, 20, (1.0, 1000.0)), (2, 20, (1.0, 1e4)))
         for k, n, thetas in cases:
             for theta in thetas:
-                g = gain_schedule(k, theta, n).step_gains
+                g = gain_schedule(k, theta, n)
                 z, log_growth = np.ones(k + 1), 0.0
                 for _ in range(2000):
                     z = z + np.append(z[1:], 0.0) / n - g * z[0]
                     scale = float(np.max(np.abs(z)))
                     z, log_growth = z / scale, log_growth + math.log(scale)
-                radius = step_spectral_radius(k, theta, n)
+                radius = pure_radius(k, theta, n)
                 assert (log_growth > 0.0) == (radius >= 1.0), (k, theta)
                 assert_allclose(log_growth / 2000, math.log(radius), atol=0.01)
 
     @settings(max_examples=100)
-    @given(
-        st.integers(0, 3),
-        st.floats(-1.0, 5.0).map(lambda u: 10.0**u),
-        st.integers(2, 1000),
-    )
-    @example(0, 49.0, 125)
-    @example(0, 51.0, 125)
-    def test_radius_below_one_iff_the_zero_input_fold_decays(self, k, theta, n):
+    @given(radius_cases())
+    @example((ExtendedParams(0, 49.0), 125))
+    @example((ExtendedParams(0, 51.0), 125))
+    # a stable theta, but a_1/n = 2.4 alone takes the level filter past -1
+    @example((ExtendedParams(0, 1.0, (300.0,)), 125))
+    def test_radius_below_one_iff_the_zero_input_fold_decays(self, case):
         # The fold run() uses, on zero observations, from each unit state:
         # about 40 / |1 - r| steps shrink r^steps to e^-40 or grow it to
         # e^40, far past any transient of the step matrix.
-        radius = step_spectral_radius(k, theta, n)
+        ext, n = case
+        radius = step_spectral_radius(ext, n)
         assume(abs(1.0 - radius) >= 0.01)
-        schedule, pure = gain_schedule(k, theta, n), ExtendedParams(k, theta)
         zeros = np.zeros(math.ceil(40.0 / abs(1.0 - radius)))
         final = [
-            max(abs(v) for v in _fold_adaptive(unit, zeros, schedule, pure)[1])
-            for unit in np.eye(k + 1).tolist()
+            max(abs(v) for v in _fold_adaptive(unit, zeros, ext, n)[1])
+            for unit in np.eye(ext.k + 1).tolist()
         ]
         if radius < 1.0:
             assert max(final) < 1.0
         else:
             assert max(final) > 1.0
-        if k == 0:
-            assert (radius < 1.0) == (theta < 2.0 * n ** (2.0 / 3.0))
+        if ext.k == 0:
+            g0 = float(gain_schedule(0, ext.theta, n)[0])
+            assert radius == abs(1.0 - ext.a_coeffs[0] / n - g0)
+            if ext.a_coeffs == (0.0,):
+                assert (radius < 1.0) == (ext.theta < 2.0 * n ** (2.0 / 3.0))
 
     def test_rejects_what_gain_schedule_rejects(self):
-        with pytest.raises(ValueError):
-            step_spectral_radius(0, 0.0, 100)
-        with pytest.raises(ValueError):
-            step_spectral_radius(MAX_ORDER + 1, 1.0, 100)
+        with pytest.raises(ValueError, match="sample size"):
+            step_spectral_radius(ExtendedParams(0, 1.0), 1)
 
 
 class TestSolverErrorType:
