@@ -24,32 +24,52 @@ in step_* as x minus the prediction.  The k=0 level filter and
 GARCH(1,1) share one first-order recursion, v' = c_v v + c + g x
 (_first_order), so the twin holds bit for bit by construction.  Where
 c = 0 it runs in SciPy's compiled linear-filter kernel, on arrays from
-end to end, for run() and the steps alike; other c run a Python loop,
-and a property test holds the kernel equal to that loop bit for bit.  The
-k=1 fold is the general order-k update unrolled into two locals, in the
-same operation order, at under a third of the general loop's cost per
-step; the GARCH(2,2) fold is the general GARCH loop unrolled into three
-locals the same way, at under half its cost per step.  The GARCH
-estimates are affine in K and a for fixed g; _GarchSystem.basis returns
-the responses that the fit combines, from a band system whose
-series-only parts are built once per series.
+end to end, for run() and the steps alike, and a property test holds the
+kernel equal to the Python loop bit for bit.  The GARCH estimates are
+affine in K and a for fixed g; _GarchSystem.basis returns the responses
+that the fit combines, from a band system whose series-only parts are
+built once per series.
+
+The Python folds define the recursions.  Where a C compiler is found,
+the folds run compiled instead, from _folds.c: the first-order recursion
+for every c that the kernel does not take, the general order-k update
+for k >= 1 and the general GARCH(p, q) loop except (1, 1).  Each does
+the Python loop's + - * / on doubles in the same order, so the bits are
+the same: the build uses -O2 -ffp-contract=off, never -ffast-math,
+-Ofast or -march=native, and refuses a compiler with excess precision
+(FLT_EVAL_METHOD != 0).  The first fold that needs it compiles the
+source with sysconfig's CC into __pycache__, named by a hash of the
+source, the command and the extension suffix, and later processes load
+that file; importing the package does neither (_compiled_folds).
+Without a compiler or Python.h, with a cache that cannot be written, or
+when the build fails, the Python folds run, with the same bits and only
+slower: the k=1 update and GARCH(2,2) are then unrolled into locals, at
+under a third and under half the general loops' cost per step.  No
+option selects the route.
 
 run() first prepares its series (PreparedSeries): the shape and finite
 checks, n and the warm-up start, the part of a run that does not depend
 on the parameters, all computed when the series is prepared, and the
-list of floats the Python folds iterate, made once on first use.  It
-accepts a series already prepared, so a tuner, which runs one series
-hundreds to thousands of times, prepares it once per fit.  run() caps
-the a_j below n/10, a bound without units, in one place, _a_cap, which
-the level tuners search; K is a constant input of the recursion, unbounded.
+list of floats the Python folds iterate, made once on first use and
+only where they run.  It accepts a series already prepared, so a tuner,
+which runs one series hundreds to thousands of times, prepares it once
+per fit.  run() caps the a_j below n/10, a bound without units, in one
+place, _a_cap, which the level tuners search; K is a constant input of
+the recursion, unbounded.
 """
 
 from __future__ import annotations
 
 import functools
+import hashlib
 import importlib.machinery
 import importlib.util
 import math
+import os
+import subprocess
+import sys
+import sysconfig
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -226,10 +246,74 @@ def _linear_filter():
     return lfilter
 
 
+_FOLDS_SOURCE = Path(__file__).with_name("_folds.c")
+_FOLDS_CACHE = Path(__file__).with_name("__pycache__")
+# -ffp-contract=off keeps every a * b + c two roundings, as in Python.
+# Never -ffast-math or -Ofast (they link crtfastmath, which flushes
+# subnormals to zero for the whole process) nor -march=native.
+_FOLDS_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+
+
+def _folds_command() -> list[str]:
+    """The C compiler this Python was built with and the flags that build
+    _folds.c; the output file and the source follow them."""
+    import shlex
+
+    compiler = shlex.split(sysconfig.get_config_var("CC") or "")
+    return [*compiler, *_FOLDS_FLAGS, f"-I{sysconfig.get_paths()['include']}"]
+
+
+@functools.cache
+def _compiled_folds():
+    """The folds compiled from _folds.c, or None where they cannot be.
+
+    The first call builds the extension into __pycache__, named by a hash
+    of the source, the command and the extension suffix, through a
+    temporary file and os.replace, and later calls and processes load
+    that file.  Without a compiler or Python.h, with a cache that cannot
+    be written, or when the build fails or hangs, it returns None and the
+    folds run in Python, with the same bits.  Cached, so a process tries
+    once.
+    """
+    command = _folds_command()
+    suffix = sysconfig.get_config_var("EXT_SUFFIX") or importlib.machinery.EXTENSION_SUFFIXES[0]
+    try:
+        source = _FOLDS_SOURCE.read_bytes()
+        key = hashlib.sha256(source + repr((command, suffix)).encode()).hexdigest()[:16]
+        target = _FOLDS_CACHE / f"_folds-{key}{suffix}"
+        if not target.is_file():
+            _FOLDS_CACHE.mkdir(exist_ok=True)
+            fd, tmp = tempfile.mkstemp(suffix=suffix, dir=_FOLDS_CACHE)
+            os.close(fd)
+            try:
+                subprocess.run(
+                    [*command, "-o", tmp, str(_FOLDS_SOURCE)],
+                    stdin=subprocess.DEVNULL, capture_output=True, check=True, timeout=300,
+                )
+                os.replace(tmp, target)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+        loader = importlib.machinery.ExtensionFileLoader("voltrack._folds", str(target))
+        spec = importlib.util.spec_from_loader(loader.name, loader)
+        module = importlib.util.module_from_spec(spec)
+        loader.exec_module(module)
+    except (OSError, subprocess.SubprocessError, ImportError):
+        return None
+    sys.modules[loader.name] = module
+    return module
+
+
+def _array(xs) -> np.ndarray:
+    """The observations xs (an array or a PreparedSeries) as a contiguous
+    float array, the form the compiled routes read."""
+    return xs.x if isinstance(xs, PreparedSeries) else np.ascontiguousarray(xs, dtype=float)
+
+
 def _floats(xs) -> list[float]:
     """The observations xs (an array or a PreparedSeries) as the Python
-    floats a fold iterates.  A PreparedSeries keeps its list, so the runs
-    of one prepared series convert it once."""
+    floats a Python fold iterates.  A PreparedSeries keeps its list, so the
+    runs of one prepared series convert it once."""
     return xs.x_list if isinstance(xs, PreparedSeries) else xs.tolist()
 
 
@@ -242,16 +326,20 @@ def _first_order(v0: float, xs, c_v: float, c: float, g: float) -> tuple[np.ndar
     same doubles up to the sign of zero.  The fold's (c_v v + 0.0) never
     gives -0.0, so neither does any of its values after v0: adding +0.0
     to the kernel's makes them equal.  Every other c, -0.0 included, runs
-    the fold itself.
+    the fold itself, compiled where it can be.
     """
     if c == 0.0 and math.copysign(1.0, c) > 0.0:
-        x_arr = xs.x if isinstance(xs, PreparedSeries) else xs
         y, zf = _linear_filter()(
-            np.array([0.0, g]), np.array([1.0, -c_v]), x_arr, -1, np.array([v0])
+            np.array([0.0, g]), np.array([1.0, -c_v]), _array(xs), -1, np.array([v0])
         )
         y += 0.0
         y[0] = v0
         return y, float(zf[0]) + 0.0
+    folds = _compiled_folds()
+    if folds is not None:
+        x_arr = _array(xs)
+        estimates = np.empty(x_arr.size)
+        return estimates, folds.first_order(x_arr, estimates, v0, c_v, c, g)
     estimates = []
     v = _fold_first_order(v0, _floats(xs), c_v, c, g, estimates)
     return np.array(estimates), v
@@ -268,16 +356,25 @@ def _level_first_order(ext, n) -> tuple[float, float, float]:
 def _fold_adaptive(z, xs, ext, n) -> tuple[np.ndarray, list[float]]:
     """The order-k recursion of a run of n, gains included, folded over xs
     (an array or a PreparedSeries) from z = [v_hat, d_1, ..., d_k]: the
-    prediction of each x, and the final z."""
+    prediction of each x, and the final z.  k = 0 is the first-order
+    recursion; every k >= 1 runs the general update, compiled where it can
+    be, which in Python is unrolled into two locals for k = 1."""
     k = len(z) - 1
     if k == 0:
         estimates, v = _first_order(z[0], xs, *_level_first_order(ext, n))
         return estimates, [v]
-    g = gain_schedule(k, ext.theta, n).tolist()
+    g = gain_schedule(k, ext.theta, n)
     a, level = ext.a_coeffs, ext.k_level
     damp = 1.0 - a[0] / n
     a_over_n = [c / n for c in a]
     level_term = a_over_n[k] * level
+    folds = _compiled_folds()
+    if folds is not None:
+        x_arr = _array(xs)
+        estimates, z_arr = np.empty(x_arr.size), np.array(z, dtype=float)
+        folds.adaptive(z_arr, x_arr, estimates, g, np.array(a_over_n), damp, level_term, n)
+        return estimates, z_arr.tolist()
+    g = g.tolist()
     estimates = []
     if k == 1:
         # The general update below with k=1, unrolled into locals: the same
@@ -313,14 +410,24 @@ def _fold_garch(est, obs, xs, params: GarchParams) -> tuple[np.ndarray, float]:
     est holds the p prior estimates and obs the q-1 prior observations,
     most recent last; the prediction of x[i] is the latest estimate
     before step i.  GARCH(1,1) is the first-order recursion:
-    (g_1 v + K) + a_1 x rounds like (K + g_1 v) + a_1 x.  GARCH(2,2) is
-    the general loop unrolled into three locals, in the same operation
-    order, at under half its cost per step (about 350 against 800 ns).
+    (g_1 v + K) + a_1 x rounds like (K + g_1 v) + a_1 x.  Every other
+    order runs the general loop, compiled where it can be.  In Python,
+    GARCH(2,2) is that loop unrolled into three locals, in the same
+    operation order, at under half its cost per step.
     """
     p, q = params.p, params.q
     k_const, g, a = params.k_const, params.g_coeffs, params.a_coeffs
     if p == q == 1:
         return _first_order(est[-1], xs, g[0], k_const, a[0])
+    folds = _compiled_folds()
+    if folds is not None:
+        # hist: the p prior estimates, then one estimate per observation
+        x_arr = _array(xs)
+        hist = np.empty(p + x_arr.size)
+        hist[:p] = est
+        prior = np.array(obs, dtype=float)
+        last = folds.garch(hist, prior, x_arr, np.array(g), np.array(a), k_const)
+        return hist[p - 1 : -1], last
     if p == q == 2:
         # The general loop below with p = q = 2, unrolled into locals: the
         # same operations in the same order, without the per-step lists.
@@ -482,8 +589,8 @@ class PreparedSeries:
 
     @property
     def x_list(self) -> list[float]:
-        """x.tolist(), the Python floats the folds iterate, made on first
-        use: a run in the compiled kernel reads x alone."""
+        """x.tolist(), the Python floats the Python folds iterate, made on
+        first use: the kernel and the compiled folds read x alone."""
         if self._x_list is None:
             self._x_list = self.x.tolist()
         return self._x_list

@@ -4,12 +4,21 @@ Oracles: hand-computed single-step arithmetic, independent re-rolled
 recursions compared bit for bit, exact fixed points on constant input,
 externally recomputed mean squared residuals, run-versus-step
 properties over randomly drawn parameters, and runs on the series and K
-times a power of two, which scale by that factor exactly.
+times a power of two, which scale by that factor exactly.  The folds run
+compiled where a C compiler is found and in Python otherwise: the oracle
+classes marked on_each_route run on both, and the compiled folds must
+give the Python folds' bytes.
 """
 
+import contextlib
 import dataclasses
+import functools
 import math
+import shutil
+import sys
+import sysconfig
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +41,9 @@ from voltrack import filters
 from voltrack.filters import (
     PreparedSeries,
     _first_order,
+    _fold_adaptive,
     _fold_first_order,
+    _fold_garch,
     _GarchSystem,
     _level_first_order,
     _warmup_count,
@@ -47,6 +58,41 @@ def stable_a(k: int) -> tuple[float, ...]:
 def noisy_series(size: int, seed: int = 7) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return np.abs(rng.normal(0.09, 0.03, size=size))
+
+
+@contextlib.contextmanager
+def python_folds():
+    """Within this context the folds run in Python: the loader reports the
+    compiled module missing.  A substitution for tests; no option selects
+    the route."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(filters, "_compiled_folds", lambda: None)
+        yield
+
+
+def _twice(test):
+    @functools.wraps(test)
+    def on_each_route(*args, **kwargs):
+        test(*args, **kwargs)
+        with python_folds():
+            test(*args, **kwargs)
+
+    return on_each_route
+
+
+def on_each_route(cls):
+    """Class decorator: each test runs its body on the route this host
+    takes (compiled where a C compiler is found) and then on the Python
+    folds, which define the recursions.  A Hypothesis test runs both on
+    each example, through its public inner_test hook."""
+    for name, test in list(vars(cls).items()):
+        if not name.startswith("test_"):
+            continue
+        if hasattr(test, "hypothesis"):
+            test.hypothesis.inner_test = _twice(test.hypothesis.inner_test)
+        else:
+            setattr(cls, name, _twice(test))
+    return cls
 
 
 class TestFilterState:
@@ -279,6 +325,7 @@ def order_k_reference(xs, ext: ExtendedParams) -> tuple[np.ndarray, np.ndarray]:
     return est, res
 
 
+@on_each_route
 class TestOrderOneFold:
     @pytest.mark.parametrize(
         "a_coeffs, k_level",
@@ -332,6 +379,7 @@ def first_order_cases(draw):
     return draw(values), xs, *coeffs
 
 
+@on_each_route
 class TestCompiledFirstOrder:
     @settings(max_examples=150, deadline=None)
     @given(first_order_cases())
@@ -667,6 +715,7 @@ def garch_cases(draw):
 _GARCH22 = GarchParams(2, 2, 0.004, (0.55, 0.2), (0.12, 0.08))
 
 
+@on_each_route
 class TestRunStepProperties:
     @_PROPERTY_SETTINGS
     @given(extended_cases())
@@ -756,6 +805,7 @@ def garch_reference(xs, par: GarchParams, est, obs) -> tuple[np.ndarray, float]:
 
 
 
+@on_each_route
 class TestGarchFoldOrder:
     """Every GARCH fold (the first-order one for (1, 1), the unrolled one
     for (2, 2) and the general loop) keeps the documented operation
@@ -964,6 +1014,7 @@ def scaled_level(par: ExtendedParams | GarchParams, c: float):
     return dataclasses.replace(par, k_level=par.k_level * c)
 
 
+@on_each_route
 class TestUnits:
     """Every recursion is linear in the series and K, so scaling both by a
     power of two scales the estimates by it and S_n by its square, exactly,
@@ -1024,3 +1075,216 @@ class TestGarchSystem:
                       for _ in range(p))
             want = reference_garch_basis(xs, g, q)
             assert system.basis(g).tobytes() == want.tobytes()
+
+
+def compiler_resolves() -> bool:
+    """Whether the loader's compiler is a program on PATH and Python.h is
+    where the loader looks for it."""
+    header = Path(sysconfig.get_paths()["include"], "Python.h")
+    return shutil.which(filters._folds_command()[0]) is not None and header.is_file()
+
+
+@pytest.fixture
+def fresh_loader():
+    """The loader forgets its module before and after the test."""
+    filters._compiled_folds.cache_clear()
+    yield
+    filters._compiled_folds.cache_clear()
+
+
+class TestCompiledRoute:
+    def test_loads_where_the_compiler_resolves(self):
+        # fails, not skips, where the build should have worked
+        if compiler_resolves():
+            folds = filters._compiled_folds()
+            assert folds is not None
+            assert sys.modules["voltrack._folds"] is folds
+
+    def test_a_missing_compiler_falls_back_to_the_same_bits(
+        self, monkeypatch, tmp_path, fresh_loader
+    ):
+        xs = noisy_series(500)
+        cases = [
+            ExtendedParams(0, 0.8, (4.0,), 0.1),
+            ExtendedParams(1, 2.5, (2.0, 1.0), 0.09),
+            ExtendedParams(3, 0.5),
+            _GARCH22,
+            GarchParams(3, 1, 0.004, (0.5, 0.2, 0.1), (0.1,)),
+        ]
+        expected = [run(xs, par) for par in cases]
+        monkeypatch.setattr(filters, "_folds_command", lambda: [str(tmp_path / "no-cc")])
+        monkeypatch.setattr(filters, "_FOLDS_CACHE", tmp_path / "cache")
+        filters._compiled_folds.cache_clear()
+        # silently: conftest turns a warning into a failure
+        for par, want in zip(cases, expected):
+            got = run(xs, par)
+            assert got.estimates.tobytes() == want.estimates.tobytes()
+            assert got.s_n.hex() == want.s_n.hex()
+        assert filters._compiled_folds() is None
+        # the temporary file of the failed build is gone
+        assert list((tmp_path / "cache").iterdir()) == []
+
+    def test_one_build_per_cache(self, monkeypatch, tmp_path, fresh_loader):
+        if not compiler_resolves():
+            pytest.skip("no C compiler on PATH")
+        monkeypatch.setattr(filters, "_FOLDS_CACHE", tmp_path)
+        assert filters._compiled_folds() is not None
+        (built,) = tmp_path.iterdir()
+        assert built.name.startswith("_folds-")
+        filters._compiled_folds.cache_clear()
+
+        def no_compiler(*args, **kwargs):
+            raise AssertionError("the cached build was compiled again")
+
+        monkeypatch.setattr(filters.subprocess, "run", no_compiler)
+        assert filters._compiled_folds() is not None
+        assert list(tmp_path.iterdir()) == [built]
+
+
+class FusedFolds:
+    """A stand-in for the compiled folds that forms each new value with one
+    rounding, from exact fractions, where the Python folds round every
+    operation.  Only finite series."""
+
+    @staticmethod
+    def first_order(x, out, v, c_v, c, g):
+        for i, xi in enumerate(x.tolist()):
+            out[i] = v
+            v = float(Fraction(c_v) * Fraction(v) + Fraction(c) + Fraction(g) * Fraction(xi))
+        return v
+
+    @staticmethod
+    def adaptive(z, x, out, g, a_over_n, damp, level_term, n):
+        k = z.size - 1
+        z_, g_, an = ([Fraction(c) for c in arr.tolist()] for arr in (z, g, a_over_n))
+        for i, xi in enumerate(x.tolist()):
+            out[i] = float(z_[0])
+            res = Fraction(xi) - z_[0]
+            t = z_[k] * Fraction(damp) + Fraction(level_term) + g_[k] * res
+            t -= sum(an[ell - 1] * z_[k + 1 - ell] for ell in range(2, k + 2))
+            new = [z_[j] + z_[j + 1] / n + g_[j] * res for j in range(k)] + [t]
+            z_ = [Fraction(float(c)) for c in new]
+        z[:] = [float(c) for c in z_]
+        return float(z_[0])
+
+    @staticmethod
+    def garch(hist, obs, x, g, a, k_const):
+        p, q, obs_x = g.size, a.size, np.concatenate((obs, x))
+        g_, a_ = [Fraction(c) for c in g.tolist()], [Fraction(c) for c in a.tolist()]
+        for i in range(hist.size - p):
+            acc = Fraction(k_const)
+            acc += sum(g_[j - 1] * Fraction(hist[p + i - j]) for j in range(1, p + 1))
+            acc += sum(a_[m - 1] * Fraction(obs_x[q + i - m]) for m in range(1, q + 1))
+            hist[p + i] = float(acc)
+        return float(hist[-1])
+
+
+class TestOneCompiledFoldForRunAndSteps:
+    """run and the step functions reach the compiled folds through the same
+    fold, so they agree bit for bit even with folds that round unlike the
+    Python ones."""
+
+    @pytest.fixture(autouse=True)
+    def fused(self, monkeypatch):
+        monkeypatch.setattr(filters, "_compiled_folds", lambda: FusedFolds)
+
+    @pytest.mark.parametrize(
+        "ext",
+        # K != 0 keeps the level filter off the kernel
+        [ExtendedParams(0, 0.8, (4.0,), 0.1), ExtendedParams(1, 2.5, (2.0, 1.0), 0.09)],
+        ids=["k0", "k1"],
+    )
+    def test_order_k(self, ext):
+        xs = noisy_series(300)
+        n = xs.size
+        result = run(xs, ext)
+        state = init_state(ext.k, xs[: _warmup_count(n)])
+        est = []
+        for x in xs.tolist():
+            est.append(state.v_hat)
+            state, _ = step_adaptive(state, x, ext, n)
+        assert np.array(est).tobytes() == result.estimates.tobytes()
+        with python_folds():
+            assert run(xs, ext).estimates.tobytes() != result.estimates.tobytes()
+
+    def test_garch(self):
+        xs = noisy_series(300)
+        result = run(xs, _GARCH22)
+        v0 = float(xs[0])
+        est_hist, obs_hist = [v0, v0], [v0]
+        for x in xs.tolist()[:-1]:
+            est_hist.append(step_garch((est_hist, obs_hist), x, _GARCH22)[0])
+            obs_hist.append(x)
+        assert np.array(est_hist[1:]).tobytes() == result.estimates.tobytes()
+        with python_folds():
+            assert run(xs, _GARCH22).estimates.tobytes() != result.estimates.tobytes()
+
+
+@st.composite
+def fold_cases(draw):
+    """A fold, its start and a series of 1 to 2000 observations: order-k
+    filters (k = 0..8, pure or relaxed, of a run of n >= the series'
+    length) and GARCH(p, q) (p, q = 1..3).  The series mixes the edge
+    values with random ones, and large scales or theta make some runs
+    overflow to +-inf and nan."""
+    size = draw(st.integers(1, 2000))
+    values = st.sampled_from(_EDGE_VALUES) | st.floats(-10.0, 10.0)
+    pool = np.array(draw(st.lists(values, min_size=1, max_size=8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    share = draw(st.sampled_from([0.0, 0.05, 1.0]))
+    scale = draw(st.sampled_from([1.0, 1e-300, 1e300]))
+    mixed = np.where(rng.random(size) < share, rng.choice(pool, size), rng.normal(0.09, 0.1, size))
+    xs = scale * mixed
+    if draw(st.booleans()):
+        k = draw(st.integers(0, 8))
+        n = draw(st.integers(max(size, 2), 4000))
+        theta = draw(st.floats(0.01, 10.0) | st.floats(1e3, 1e9))
+        a_coeffs = ()
+        if draw(st.booleans()):
+            roots = draw(st.lists(st.floats(0.05, 5.0), min_size=k + 1, max_size=k + 1))
+            a_coeffs = tuple(float(c) for c in np.poly([-r for r in roots])[1:])
+        ext = ExtendedParams(k, theta, a_coeffs, draw(values))
+        z = [draw(values) for _ in range(k + 1)]
+        return _fold_adaptive, (z, xs, ext, n)
+    p, q = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    # K near the largest double and coefficients adding up to 1 overflow,
+    # and a zero coefficient times inf is nan
+    weight = st.just(0.0) | st.floats(0.0, 1.0)
+    weights = draw(st.lists(weight, min_size=p + q, max_size=p + q))
+    k_const = draw(st.sampled_from([0.0, -0.0, 1e308]) | st.floats(0.0, 0.01))
+    total = draw(st.just(1.0) | st.floats(0.0, 1.0))
+    par = garch_from_weights(p, q, k_const, weights, total)
+    est, obs = [draw(values) for _ in range(p)], [draw(values) for _ in range(q - 1)]
+    return _fold_garch, (est, obs, xs, par)
+
+
+_GARCH_OVERFLOW = GarchParams(2, 2, 1e308, (0.9, 0.0), (0.05, 0.05))
+
+
+class TestCompiledEqualsPython:
+    """The compiled folds give the Python folds' predictions and final
+    state, byte for byte."""
+
+    @pytest.fixture(autouse=True)
+    def compiled(self):
+        if filters._compiled_folds() is None:
+            pytest.skip("no compiled folds on this host (TestCompiledRoute)")
+
+    @settings(max_examples=200)
+    @given(fold_cases())
+    # theta=1000 lies past the k=0 stability bound at n=4000, and K != 0
+    # keeps the fold off the kernel: the estimates alternate to +-inf
+    @example(
+        (_fold_adaptive, ([0.09], noisy_series(4000), ExtendedParams(0, 1e3, (1.0,), 0.1), 4000))
+    )
+    # k=1 past its bound: inf, then inf - inf is nan
+    @example((_fold_adaptive, ([0.09, 0.0], noisy_series(2000), ExtendedParams(1, 1e6), 2000)))
+    # the estimates overflow to inf, and 0 * inf makes them nan
+    @example((_fold_garch, ([1.0, 1.0], [1.0], 1e300 * noisy_series(60, seed=5), _GARCH_OVERFLOW)))
+    def test_byte_for_byte(self, case):
+        fold, args = case
+        compiled = fold(*args)
+        with python_folds():
+            python = fold(*args)
+        assert compiled[0].tobytes() == python[0].tobytes()
+        assert np.array(compiled[1]).tobytes() == np.array(python[1]).tobytes()

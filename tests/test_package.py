@@ -68,8 +68,14 @@ def run_fresh(code: str) -> str:
 
 def test_import_leaves_scipy_stats_unloaded():
     # no module imports scipy.stats: ordering computes Kendall's tau itself,
-    # and the linear-filter kernel is loaded without scipy.signal
-    assert run_fresh("import sys, voltrack; print('scipy.stats' in sys.modules)") == "False\n"
+    # and the linear-filter kernel is loaded without scipy.signal.  The
+    # compiled folds load on first use: importing never runs their loader,
+    # so it starts no compiler either
+    code = (
+        "import sys, voltrack; print('scipy.stats' in sys.modules, "
+        "'voltrack._folds' in sys.modules, voltrack.filters._compiled_folds.cache_info().misses)"
+    )
+    assert run_fresh(code) == "False False 0\n"
 
 
 HEAVY = ("scipy.optimize", "scipy.linalg", "scipy.stats", "scipy.sparse", "scipy.special")
